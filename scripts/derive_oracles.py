@@ -3,7 +3,8 @@
 
 Every derived constant that appears as a literal in tests/ is recomputed
 here with an independent route (sympy matrices, brute-force enumeration,
-plain Fraction arithmetic) so the library itself is never in the loop.
+plain Fraction arithmetic, a numpy replay of the Monte Carlo estimator) so
+the library itself is never in the loop.
 Run from the repo root:
 
     python scripts/derive_oracles.py
@@ -15,8 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 
@@ -46,6 +49,71 @@ def subspace_dof(blocks, directions):
         per_rx.append((full, intf))
         total += full - intf
     return total, per_rx
+
+
+# -- Monte Carlo estimator, re-derived without the library --------------------
+# The same Philox streams and float operations as dofkit.estimator, but every
+# resolution is quantized on its own and its cells are grouped by sorting
+# Python tuples, so the frozen estimates do not rest on the library's cell
+# grouping.
+
+def philox_chunks(seed, user, n, draw):
+    """Concatenate draw(gen, size) over 2^16-sample batches, keyed by
+    (seed xor batch, user)."""
+    chunks = []
+    for start in range(0, n, 1 << 16):
+        key = np.array([seed ^ (start >> 16), user], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        chunks.append(draw(gen, min(1 << 16, n - start)))
+    return np.concatenate(chunks, axis=0)
+
+
+def cell_probs(x, k):
+    """Per-cell probabilities in lexicographic cell order, and each
+    sample's cell index."""
+    q = np.floor(x.reshape(len(x), -1) * float(2 ** k)).astype(np.int64)
+    cells = [tuple(row) for row in q.tolist()]
+    order = sorted(Counter(cells).items())
+    index = {cell: t for t, (cell, _) in enumerate(order)}
+    counts = np.array([c for _, c in order])
+    return counts / len(cells), np.array([index[c] for c in cells])
+
+
+def plugin_entropy(p):
+    return float(-np.sum(p * np.log2(p)))
+
+
+def estimate_dim_oracle(x, k1, k2):
+    """(value, stderr) of the two-point entropy slope and its uncertainty
+    proxy: noise, occupancy bias and curvature in quadrature."""
+    n, span = len(x), k2 - k1
+    p1, inv1 = cell_probs(x, k1)
+    p2, inv2 = cell_probs(x, k2)
+    h1, h2 = plugin_entropy(p1), plugin_entropy(p2)
+    value = (h2 - h1) / span
+    g = (np.log2(p1[inv1]) - np.log2(p2[inv2])) / span
+    s_noise = float(np.std(g, ddof=1) / math.sqrt(n))
+    s_bias = (len(p2) - len(p1)) / (2.0 * n * math.log(2) * span)
+    s_curv = 0.0
+    if span >= 2:
+        mid = (k1 + k2) // 2
+        hm = plugin_entropy(cell_probs(x, mid)[0])
+        s_curv = abs((h2 - hm) / (k2 - mid) - (hm - h1) / (mid - k1))
+    return value, math.hypot(s_noise, s_bias, s_curv)
+
+
+def receiver_estimates(rows, K, M, samples, k1, k2):
+    """float.hex of (full value, full stderr, interference value,
+    interference stderr) per receiver."""
+    out = []
+    for i in range(K):
+        B = [np.array([[float(Fraction(v)) for v in r[j * M:(j + 1) * M]]
+                       for r in rows[i * M:(i + 1) * M]]) for j in range(K)]
+        full = sum(samples[j] @ B[j].T for j in range(K))
+        intf = sum(samples[j] @ B[j].T for j in range(K) if j != i)
+        out.append(tuple(v.hex() for v in estimate_dim_oracle(full, k1, k2)
+                         + estimate_dim_oracle(intf, k1, k2)))
+    return out
 
 
 def main() -> None:
@@ -254,6 +322,36 @@ def main() -> None:
 
     print("\n== complex 1x1 stacking determinant, h=3+4i ==")
     print(frac_matrix([[3, -4], [4, 3]]).det())
+
+    # ------------------------------------------------------------------
+    print("\n== frozen estimates (tests/test_estimator.py, float.hex) ==")
+    n = 100_000
+    rows = [[1, 0, 1, Fraction(1, 3)], [0, 1, Fraction(1, 4), 1],
+            [1, Fraction(1, 5), 1, 0], [Fraction(1, 6), 1, 0, 1]]
+
+    def mixture_draw(gen, size):
+        mask = gen.random(size) < 0.5
+        return gen.random((size, 2)) * mask[:, None]
+    samples = [philox_chunks(7, u, n, mixture_draw) for u in range(2)]
+    print("   mixture, seed 7, k=(3,6):", receiver_estimates(rows, 2, 2, samples, 3, 6))
+
+    rows = [[1 if (a if i == j else (a - 1) % 2) == b else 0
+             for j in range(3) for b in range(2)] for i in range(3) for a in range(2)]
+    line = np.array([[1.0, 0.0]])  # each user on the first coordinate
+    samples = [philox_chunks(11, u, n, lambda gen, size: gen.random((size, 1)) @ line)
+               for u in range(3)]
+    print("   cyclic(3,2), seed 11, k=(2,5):", receiver_estimates(rows, 3, 2, samples, 2, 5))
+
+    # Cantor: depth D is the smallest with 3^-D * 2 / (2/3) < 2^-(12+2)
+    D = next(d for d in itertools.count(1)
+             if Fraction(1, 3) ** d * 3 < Fraction(1, 2 ** 14))
+    weights = (1.0 / 3.0) ** np.arange(D)
+    pts = np.array([[0.0], [2.0]])
+    x = philox_chunks(20260815, 0, 200_000, lambda gen, size: (
+        pts[gen.choice(2, size=(size, D), p=np.array([0.5, 0.5]))]
+        * weights[None, :, None]).sum(axis=1))
+    print("   Cantor, seed 20260815, k=(8,12), depth %d:" % D,
+          tuple(v.hex() for v in estimate_dim_oracle(x, 8, 12)))
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .engine import DofReport, assemble_report, scale_transform
 from .errors import (
     ConditionViolated,
     InputError,
+    InvariantViolated,
     OpenSetUnverified,
     ResolutionTooCoarse,
     SupportTooLarge,
@@ -159,7 +160,9 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
                 sum((r ** n * pt[n * M + c] for n in range(N)), Q(0))
                 for c in range(M))
             acc[w] = acc.get(w, Q(0)) + prob
-        assert len(acc) == len(dist.points)  # injectivity, per the check above
+        if len(acc) != len(dist.points):  # certified by the check above
+            raise InvariantViolated("user %d: folding is not injective"
+                                    % (u + 1,))
         pts = sorted(acc)
         out.append(FiniteDist(tuple(pts), tuple(acc[p] for p in pts)))
     return tuple(out)
@@ -207,7 +210,7 @@ def minkowski_check(V: Sequence, r, ell: int) -> tuple[Fraction, int]:
     """Enumerate V + rV + ... + r^{ell-1}V exactly and return its minimum
     distance and cardinality.  Requires r <= m(V)/(m(V)+M(V)); under that
     condition the sum has |V|^ell distinct points with minimum distance at
-    least r^{ell-1} m(V), and both facts are asserted on the enumeration."""
+    least r^{ell-1} m(V), and both facts are checked on the enumeration."""
     vals = sorted({Q(v) for v in V})
     if len(vals) < 2:
         raise TooFewPoints("need at least 2 distinct values, got %d"
@@ -224,6 +227,9 @@ def minkowski_check(V: Sequence, r, ell: int) -> tuple[Fraction, int]:
         sum((r ** t * combo[t] for t in range(ell)), Q(0))
         for combo in itertools.product(vals, repeat=ell)})
     min_dist = min(b - a for a, b in zip(sums, sums[1:]))
-    assert min_dist >= r ** (ell - 1) * m
-    assert len(sums) == len(vals) ** ell
+    if min_dist < r ** (ell - 1) * m or len(sums) != len(vals) ** ell:
+        raise InvariantViolated(
+            "Minkowski sum has %d points at distance %s; expected %d at "
+            "distance >= %s" % (len(sums), min_dist, len(vals) ** ell,
+                                r ** (ell - 1) * m))
     return min_dist, len(sums)

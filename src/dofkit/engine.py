@@ -26,7 +26,6 @@ from .dimension import (
     DimValue,
     convolve_linear,
     dim_mixture_sum,
-    dim_selfsimilar,
     dim_subspace_sum,
     entropy_finite,
     open_set_check,
@@ -36,6 +35,7 @@ from .errors import (
     BudgetExceeded,
     DimMismatch,
     InputError,
+    InvariantViolated,
     NotFullyConnected,
     NotParallel,
     NotStandardForm,
@@ -449,7 +449,10 @@ def standardize_3user(A: RatMatrix) -> StandardForm:
     S = RatMatrix.from_rows(
         [[rows[i] * h[i][j] * cols[j] for j in range(3)] for i in range(3)])
     for (i, j) in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0)):
-        assert S.at(i, j) == 1  # scalings above force the one-pattern
+        if S.at(i, j) != 1:  # scalings above force the one-pattern
+            raise InvariantViolated(
+                "standard form entry (%d, %d) is %s, not 1"
+                % (i + 1, j + 1, S.at(i, j)))
     return StandardForm(
         matrix=S, row_scalings=rows, col_scalings=cols,
         a=S.at(0, 0), b=S.at(1, 1), c=S.at(2, 2), d=S.at(2, 1))

@@ -104,3 +104,8 @@ class ResolutionTooCoarse(AnalysisError):
 
 class ConditionViolated(AnalysisError):
     pass
+
+
+class InvariantViolated(AnalysisError):
+    """A result failed an internal consistency check; it is refused rather
+    than returned.  Raised explicitly so the check survives python -O."""

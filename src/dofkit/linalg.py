@@ -18,6 +18,7 @@ from .errors import (
     AmbientDimMismatch,
     DimMismatch,
     InputError,
+    InvariantViolated,
     NonSquare,
     UserCountMismatch,
 )
@@ -158,7 +159,8 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
             for j in range(c + 1, cols):
                 num = m[i][j] * m[r][c] - m[i][c] * m[r][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0  # Sylvester identity guarantees exactness
+                if rem:  # Sylvester's identity guarantees exactness
+                    raise InvariantViolated("Bareiss step is not exact")
                 m[i][j] = q
             m[i][c] = 0
         prev = m[r][c]

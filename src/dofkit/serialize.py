@@ -41,6 +41,8 @@ def rat_str(q: Fraction) -> str:
 
 
 def parse_rat(s: Any) -> Fraction:
+    if isinstance(s, bool):  # Fraction(True) == 1; a JSON boolean is no number
+        raise InputError("bad rational %r: booleans are not numbers" % (s,))
     try:
         return Q(s) if not isinstance(s, float) else Q(str(s))
     except (ValueError, ZeroDivisionError, TypeError) as e:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -212,3 +215,28 @@ def test_minkowski_check_guards():
         minkowski_check([5], Q(1, 3), 2)
     with pytest.raises(InputError):
         minkowski_check([0, 1], Q(1, 3), 0)
+
+
+def test_invariant_checks_survive_python_O():
+    # python -O strips assert statements.  Feed minkowski_check a wrong
+    # m(V) so its threshold test passes but the enumerated sum has a gap
+    # below r^(ell-1) m: the invariant must still refuse the result.
+    import dofkit
+    code = """
+import sys
+from fractions import Fraction as Q
+import dofkit.construct as construct
+from dofkit.errors import InvariantViolated
+assert sys.flags.optimize == 1
+construct.minmax_dist = lambda vals: (Q(1), Q(0))
+try:
+    construct.minkowski_check([0, 1], Q(2, 3), 2)
+except InvariantViolated:
+    print("refused")
+"""
+    src = os.path.dirname(os.path.dirname(dofkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"

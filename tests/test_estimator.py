@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dofkit import (
     ChannelMatrix,
@@ -20,7 +22,11 @@ from dofkit import (
     sample_scheme,
 )
 from dofkit.errors import InputError
-from dofkit.estimator import INTEGER_ENTROPY_BITS_PER_DIM, ifs_truncation_depth
+from dofkit.estimator import (
+    INTEGER_ENTROPY_BITS_PER_DIM,
+    _pack,
+    ifs_truncation_depth,
+)
 from dofkit.examples import ex1
 
 CANTOR = SelfSimilarScheme(Q(1, 3), (FiniteDist.uniform([0, 2]),))
@@ -101,6 +107,61 @@ def test_integer_entropy_stays_under_power_bound():
     assert quantized_entropy(xs, 0) <= 2 * INTEGER_ENTROPY_BITS_PER_DIM
 
 
+def test_cells_refuse_non_finite_samples():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            quantized_entropy(np.array([0.1, bad, 0.7]), 3)
+        with pytest.raises(InputError):
+            estimate_dim(np.array([[0.1, 0.2], [bad, 0.3]]),
+                         EstimatorConfig(n_samples=2, k1=1, k2=3, seed=0))
+
+
+def test_cells_refuse_resolutions_past_the_key_range():
+    # |x| 2^k must stay below 2^62 so packed cell keys cannot wrap
+    assert quantized_entropy(np.array([0.75, -0.75]), 62) == 1.0
+    for x, k in ((1.0, 62), (-1.0, 62), (0.5, 63), (3.0, 61)):
+        with pytest.raises(InputError):
+            quantized_entropy(np.array([0.0, x]), k)
+    with pytest.raises(InputError):
+        estimate_dim(np.array([0.0, 1.0]),
+                     EstimatorConfig(n_samples=2, k1=1, k2=62, seed=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 300),
+       st.lists(st.integers(0, 61), min_size=6, max_size=6),
+       st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+@example(6, 300, [61] * 6, 0, 0)  # every column wide: re-rank key and column
+def test_packed_keys_group_like_unique_rows(M, n, exps, shift, seed):
+    # Columns drawn from a few values each, so rows repeat; wide columns
+    # push the packed key past 2^62 and force the re-rank step.
+    rng = np.random.default_rng(seed)
+    cols = []
+    for e in exps[:M]:
+        pool = rng.integers(-(1 << e), 1 << e, size=rng.integers(1, 6),
+                            endpoint=True)
+        cols.append(rng.choice(pool, size=n))
+    _assert_packed_like_unique(np.stack(cols, axis=1), shift)
+
+
+def test_packed_key_just_past_int64():
+    # column widths 2^31 + 1 and 2^32: an unranked key would reach 2^63
+    top = 1 << 31
+    cells = np.array([[0, 0], [top, 2 * top - 1], [0, 2 * top - 1],
+                      [top, 0], [top, 2 * top - 1]], dtype=np.int64)
+    _assert_packed_like_unique(cells)
+    _assert_packed_like_unique(-cells)
+
+
+def _assert_packed_like_unique(cells, shift=0):
+    _, inverse, counts = np.unique(_pack(cells, shift), return_inverse=True,
+                                   return_counts=True)
+    _, want_inverse, want_counts = np.unique(
+        cells >> shift, axis=0, return_inverse=True, return_counts=True)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(counts, want_counts)
+
+
 # ------------------------------------------------------------ dimension fits
 
 
@@ -167,3 +228,61 @@ def test_estimate_dof_deterministic():
         a = estimate_dof(H, scheme, cfg)
         b = estimate_dof(H, scheme, cfg)
     assert a == b
+
+
+# ----------------------------------------------------------- frozen values
+# float.hex of (full value, full stderr, interference value, interference
+# stderr) per receiver.  Frozen from the estimator that quantized every
+# resolution separately and grouped cells with np.unique(axis=0), and
+# recomputed by scripts/derive_oracles.py with tuple sorting; the packed-key
+# grouping must not change a single bit of them.
+
+MIXTURE_ROWS = [[1, 0, 1, Q(1, 3)], [0, 1, Q(1, 4), 1],
+                [1, Q(1, 5), 1, 0], [Q(1, 6), 1, 0, 1]]
+GOLDEN_MIXTURE = [
+    ("0x1.77e1e5e70290bp+0", "0x1.249c6c53a6d33p-4",
+     "0x1.f11f1d0c3b005p-1", "0x1.4cea18c47f6dfp-7"),
+    ("0x1.78c03b1403701p+0", "0x1.24ab4862092fbp-4",
+     "0x1.f7b7ef45811ebp-1", "0x1.bc0f2ee216a42p-7"),
+]
+GOLDEN_CYCLIC = [
+    ("0x1.fc75adda4475dp+0", "0x1.4cf47a50703d7p-7",
+     "0x1.fb5092d2b7d15p-1", "0x1.ec80802f01df0p-7"),
+    ("0x1.fc6fb6b98b3cdp+0", "0x1.3b9b4d8ff1925p-7",
+     "0x1.fb6109cc6237bp-1", "0x1.da0b0c8bc3fb5p-7"),
+    ("0x1.fc4142d098b53p+0", "0x1.8027149c2657fp-7",
+     "0x1.fb129d1b771d3p-1", "0x1.16689029f78e6p-6"),
+]
+GOLDEN_CANTOR = ("0x1.3c34ddc59ba48p-1", "0x1.eb69bc48a531ep-5")
+
+
+def _receiver_hex(rep):
+    return [tuple(x.hex() for x in (t.full_dim.estimate, t.full_dim.stderr,
+                                     t.interference_dim.estimate,
+                                     t.interference_dim.stderr))
+            for t in rep.per_receiver]
+
+
+def test_mixture_estimate_frozen():
+    # criterion 8's configuration
+    H = ChannelMatrix.from_rows(2, 2, MIXTURE_ROWS)
+    rep = estimate_dof(H, MixtureScheme((Q(1, 2), Q(1, 2))),
+                       EstimatorConfig(n_samples=100_000, k1=3, k2=6, seed=7))
+    assert _receiver_hex(rep) == GOLDEN_MIXTURE
+
+
+def test_cyclic_estimate_frozen():
+    H, scheme = cyclic_delay_channel(3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = estimate_dof(H, scheme, EstimatorConfig(n_samples=100_000,
+                                                      k1=2, k2=5, seed=11))
+    assert _receiver_hex(rep) == GOLDEN_CYCLIC
+
+
+def test_cantor_estimate_frozen():
+    # criterion 7's configuration
+    cfg = EstimatorConfig(n_samples=200_000, k1=8, k2=12, seed=20260815)
+    xs = sample_scheme(CANTOR, cfg.n_samples, cfg.seed, k2=cfg.k2)[0]
+    est = estimate_dim(xs, cfg)
+    assert (est.value.hex(), est.stderr.hex()) == GOLDEN_CANTOR

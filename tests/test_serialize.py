@@ -55,6 +55,14 @@ def test_rational_strings():
             parse_rat(bad)
 
 
+def test_parse_rat_refuses_booleans():
+    for bad in (True, False):
+        with pytest.raises(InputError):
+            parse_rat(bad)
+    with pytest.raises(InputError):
+        parse_matrix(json.loads("[[1, true], [0, 1]]"))
+
+
 def test_matrix_roundtrip():
     A = RatMatrix.from_rows([[Q(1, 2), 3], [0, Q(-5, 7)]])
     assert parse_matrix(matrix_rows(A)) == A
