@@ -14,6 +14,7 @@ and compare the printed values against the literals in the tests.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -352,6 +353,75 @@ def main() -> None:
         * weights[None, :, None]).sum(axis=1))
     print("   Cantor, seed 20260815, k=(8,12), depth %d:" % D,
           tuple(v.hex() for v in estimate_dim_oracle(x, 8, 12)))
+
+    # ------------------------------------------------------------------
+    print("\n== elimination outputs (tests/test_linalg.py, ELIMINATION_FROZEN) ==")
+    print("   (null-space basis, column-space basis, inverse) as rows")
+
+    def as_rows(cols, n_rows):
+        m = sympy.Matrix.hstack(*cols) if cols else sympy.zeros(n_rows, 0)
+        return [[str(x) for x in m.row(i)] for i in range(n_rows)]
+
+    F = Fraction
+    for name, rows in (
+            ("rank_deficient_3x3", [[1, 2, 3], [2, 4, 6], [1, 0, 1]]),
+            ("wide_2x4", [[0, F(1, 2), 0, 3], [2, 1, F(1, 3), -1]]),
+            ("tall_4x2", [[1, 2], [3, 4], [5, 6], [7, 8]]),
+            ("tall_rank_deficient_4x3",
+             [[0, 0, 0], [2, 4, 6], [1, 2, 3], [1, 1, F(-1, 2)]]),
+            ("zero_2x3", [[0, 0, 0], [0, 0, 0]]),
+            ("nonsingular_3x3", [[0, F(1, 3), 2], [1, 1, -1], [F(5, 2), 0, 4]]),
+            ("permutation_3x3", [[0, 0, 1], [0, 2, 0], [3, 0, 0]])):
+        A = frac_matrix(rows)
+        inv = None
+        if A.rows == A.cols:
+            inv = ("singular" if A.det() == 0 else
+                   [[str(x) for x in A.inv().row(i)] for i in range(A.rows)])
+        print("  ", name, as_rows(A.nullspace(), A.cols),
+              as_rows(A.columnspace(), A.rows), inv)
+
+    # ------------------------------------------------------------------
+    print("\n== sample stream digests (tests/test_estimator.py, SAMPLE_FROZEN) ==")
+    n = (1 << 17) + 1
+
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    dirs = [np.array([[1.0], [1.0 / 3.0]]), np.array([[1.0, -0.5], [0.0, 2.0]]),
+            None]  # the third user has no directions
+
+    def subspace_draw(V, latent):
+        if V is None:
+            return lambda gen, size: np.zeros((size, 2))
+        return lambda gen, size: getattr(gen, latent)((size, V.shape[1])) @ V.T
+
+    for tag, latent in (("uniform01", "random"), ("gaussian", "standard_normal")):
+        print("   subspace_%s:" % tag, digest(
+            [philox_chunks(2024, u, n, subspace_draw(V, latent))
+             for u, V in enumerate(dirs)]))
+
+    def mixture_draw_alpha(a):
+        def draw(gen, size):
+            mask = gen.random(size) < a
+            return gen.random((size, 2)) * mask[:, None]
+        return draw
+    print("   mixture:", digest([philox_chunks(2024, u, n, mixture_draw_alpha(a))
+                                 for u, a in enumerate((0.5, 1.0 / 3.0, 1.0))]))
+
+    weights = (1.0 / 3.0) ** np.arange(5)
+
+    def ifs_draw(pts, probs):
+        pts, probs = np.array(pts), np.array(probs)
+        return lambda gen, size: (
+            pts[gen.choice(len(pts), size=(size, 5), p=probs)]
+            * weights[None, :, None]).sum(axis=1)
+    print("   selfsimilar:", digest([
+        philox_chunks(2024, 0, n, ifs_draw([[0.0, 0.0], [2.0, 1.0]], [0.5, 0.5])),
+        philox_chunks(2024, 1, n, ifs_draw([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]],
+                                           [0.25, 0.25, 0.5]))]))
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ from .schemes import (
     MixtureScheme,
     SelfSimilarScheme,
     SubspaceScheme,
-    quantize_to_set,
     validate_scheme,
 )
 

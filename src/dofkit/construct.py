@@ -4,9 +4,10 @@ Pipeline: size a dyadic grid from the channel (grid_build), put an i.i.d.
 uniform codeword distribution on grid-valued M x N codewords, fold each
 codeword into a single vector W = sum_n r^{n-1} x^{(n)} with r = 2^{-k}
 (fold_codewords), and lift the folded distribution to a self-similar
-input with ratio r^N (lift_selfsimilar).  constructed_dof then evaluates
-the per-receiver entropy ratios H(sumset)/(N k) exactly; every sumset is
-re-verified against the contraction sufficient condition rather than
+input with ratio r^N (lift_selfsimilar).  constructed_dof checks that the
+scheme's ratio is r^N and hands it to dof_eval, whose entropy-ratio rule
+gives the per-receiver ratios H(sumset)/(N k) exactly and re-verifies
+every sumset against the contraction sufficient condition rather than
 trusting the sizing chain that motivated the grid.
 """
 
@@ -17,15 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dimension import (
-    CONVOLVE_CAP,
-    DimValue,
-    convolve_linear,
-    entropy_finite,
-    minmax_dist,
-    open_set_check,
-)
-from .engine import DofReport, assemble_report, scale_transform
+from .dimension import CONVOLVE_CAP, minmax_dist, open_set_check
+from .engine import DofReport, dof_eval, scale_transform
 from .errors import (
     ConditionViolated,
     InputError,
@@ -36,7 +30,7 @@ from .errors import (
     TooFewPoints,
 )
 from .linalg import ChannelMatrix, RatMatrix
-from .schemes import FiniteDist, SelfSimilarScheme, validate_scheme
+from .schemes import FiniteDist, SelfSimilarScheme
 
 Q = Fraction
 
@@ -178,32 +172,14 @@ def lift_selfsimilar(folded: Sequence[FiniteDist],
 def constructed_dof(H: ChannelMatrix, scheme: SelfSimilarScheme,
                     params: ConstructionParams) -> DofReport:
     """Exact per-receiver entropy ratios H(sumset)/(N k) for a scheme from
-    this pipeline.  Both the full and the interference sumset of every
-    receiver must pass the contraction check with ratio r^N."""
-    validate_scheme(scheme, H)
+    this pipeline: the check that the scheme's ratio is r^N, then dof_eval,
+    which refuses unless both the full and the interference sumset of
+    every receiver pass the contraction check with ratio r^N.  For the
+    dyadic r^N = 2^{-Nk}, dof_eval's log2(1/r^N) is exactly N k."""
     if scheme.ratio != params.r ** params.N:
         raise InputError("scheme ratio %s does not match params (r^N = %s)"
                          % (scheme.ratio, params.r ** params.N))
-    log2_inv = float(params.N * params.k)
-    pairs = []
-    for i in range(H.K):
-        full = convolve_linear(
-            [(H.block(i, j), scheme.supports[j]) for j in range(H.K)])
-        if not open_set_check(scheme.ratio, full.points):
-            raise OpenSetUnverified(
-                "receiver %d full sumset fails the contraction check"
-                % (i + 1,))
-        intf = convolve_linear(
-            [(H.block(i, j), scheme.supports[j])
-             for j in range(H.K) if j != i])
-        if not open_set_check(scheme.ratio, intf.points):
-            raise OpenSetUnverified(
-                "receiver %d interference sumset fails the contraction check"
-                % (i + 1,))
-        pairs.append((
-            DimValue.from_entropy_ratio(entropy_finite(full), log2_inv),
-            DimValue.from_entropy_ratio(entropy_finite(intf), log2_inv)))
-    return assemble_report(pairs, H, "entropy-ratio")
+    return dof_eval(H, scheme)
 
 
 def minkowski_check(V: Sequence, r, ell: int) -> tuple[Fraction, int]:

@@ -48,10 +48,6 @@ class AmbientDimMismatch(InputError):
     pass
 
 
-class EmptySet(InputError):
-    pass
-
-
 class TooFewPoints(InputError):
     pass
 

@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,10 +48,6 @@ Q = Fraction
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 16
 _CELL_LIMIT = 1 << 62
-
-# Entropy ceiling per dimension for unit-power integer parts; the constant
-# 26*pi*e/3 comes from a max-entropy bound with second-moment budget.
-INTEGER_ENTROPY_BITS_PER_DIM = 0.5 * math.log2(26 * math.pi * math.e / 3)
 
 
 @dataclass(frozen=True)
@@ -105,6 +101,37 @@ def ifs_truncation_depth(scheme: SelfSimilarScheme, k2: int) -> int:
     return D
 
 
+def _batch_draw(scheme: Scheme, u: int, M: int, ifs_depth: Optional[int]
+                ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """User u's per-batch draw(gen, size) -> (size, M) samples, with the
+    user's constants (direction matrix, support, weights) built once."""
+    if isinstance(scheme, SubspaceScheme):
+        V = scheme.directions[u]
+        if V.cols == 0:
+            return lambda gen, size: np.zeros((size, M))
+        VfT = np.array(V.to_float_rows()).T
+        if scheme.latent_tag == "gaussian":
+            return lambda gen, size: gen.standard_normal((size, V.cols)) @ VfT
+        return lambda gen, size: gen.random((size, V.cols)) @ VfT
+    if isinstance(scheme, MixtureScheme):
+        # with probability alpha a uniform [0,1)^M draw, else the origin
+        a = float(scheme.alphas[u])
+
+        def draw(gen, size):
+            mask = gen.random(size) < a
+            return gen.random((size, M)) * mask[:, None]
+        return draw
+    support = scheme.supports[u]
+    P = len(support.points)
+    pts = np.array([[float(x) for x in pt] for pt in support.points])
+    probs = np.array([float(q) for q in support.probs])
+    probs = probs / probs.sum()
+    weights = float(scheme.ratio) ** np.arange(ifs_depth)
+    return lambda gen, size: (
+        pts[gen.choice(P, size=(size, ifs_depth), p=probs)]
+        * weights[None, :, None]).sum(axis=1)
+
+
 def sample_scheme(scheme: Scheme, n: int, seed: int, *,
                   M: Optional[int] = None,
                   ifs_depth: Optional[int] = None,
@@ -119,7 +146,7 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
     elif isinstance(scheme, MixtureScheme):
         if M is None:
             raise InputError("mixture sampling needs the ambient dimension M")
-        return sample_mixture(scheme, M, n, seed)
+        users = len(scheme.alphas)
     elif isinstance(scheme, SelfSimilarScheme):
         users = len(scheme.supports)
         M = scheme.supports[0].dim
@@ -132,50 +159,11 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
 
     out = []
     for u in range(users):
+        draw = _batch_draw(scheme, u, M, ifs_depth)
         chunks = []
         for start in range(0, n, _BATCH):
-            size = min(_BATCH, n - start)
             gen = _generator(seed, u, start // _BATCH)
-            if isinstance(scheme, SubspaceScheme):
-                V = scheme.directions[u]
-                if V.cols == 0:
-                    chunks.append(np.zeros((size, M)))
-                    continue
-                Vf = np.array(V.to_float_rows())
-                if scheme.latent_tag == "gaussian":
-                    lat = gen.standard_normal((size, V.cols))
-                else:
-                    lat = gen.random((size, V.cols))
-                chunks.append(lat @ Vf.T)
-            else:
-                support = scheme.supports[u]
-                P = len(support.points)
-                pts = np.array([[float(x) for x in pt]
-                                for pt in support.points])
-                probs = np.array([float(q) for q in support.probs])
-                probs = probs / probs.sum()
-                idx = gen.choice(P, size=(size, ifs_depth), p=probs)
-                weights = float(scheme.ratio) ** np.arange(ifs_depth)
-                chunks.append(
-                    (pts[idx] * weights[None, :, None]).sum(axis=1))
-        out.append(np.concatenate(chunks, axis=0))
-    return out
-
-
-def sample_mixture(scheme: MixtureScheme, M: int, n: int, seed: int
-                   ) -> list[np.ndarray]:
-    """Mixture samples: with probability alpha_j a uniform [0,1)^M draw,
-    otherwise the atom at the origin."""
-    out = []
-    for u, alpha in enumerate(scheme.alphas):
-        a = float(alpha)
-        chunks = []
-        for start in range(0, n, _BATCH):
-            size = min(_BATCH, n - start)
-            gen = _generator(seed, u, start // _BATCH)
-            mask = gen.random(size) < a
-            ac = gen.random((size, M))
-            chunks.append(ac * mask[:, None])
+            chunks.append(draw(gen, min(_BATCH, n - start)))
         out.append(np.concatenate(chunks, axis=0))
     return out
 
@@ -268,6 +256,8 @@ def estimate_dim(samples: np.ndarray, cfg: EstimatorConfig) -> DimEstimate:
     # exact right shifts of the k2 cells.
     cells2 = _cells(samples, cfg.k2)
     n = cells2.shape[0]
+    if n == 0:
+        raise InputError("no samples to estimate a dimension from")
     span = cfg.k2 - cfg.k1
     _, inv1, c1 = np.unique(_pack(cells2, span), return_inverse=True,
                             return_counts=True)
@@ -290,10 +280,10 @@ def estimate_dim(samples: np.ndarray, cfg: EstimatorConfig) -> DimEstimate:
     s_bias = (len(c2) - len(c1)) / (2.0 * n * math.log(2) * span)
     stderr = math.hypot(s_noise, s_bias, s_curv)
     needed = 50 * 2.0 ** (cfg.k2 * max(value, 0.0))
-    if cfg.n_samples < needed:
+    if n < needed:
         warnings.warn(
             "n_samples=%d below the guidance 50 * 2^(k2 d) ~ %.3g for the "
-            "estimated dimension %.3f" % (cfg.n_samples, needed, value))
+            "estimated dimension %.3f" % (n, needed, value))
     return DimEstimate(value=value, stderr=stderr, k1=cfg.k1, k2=cfg.k2)
 
 

@@ -4,7 +4,8 @@ block channel matrices, and the fixed-point-free cross-link search.
 Rank and determinant use fraction-free Bareiss elimination over the
 integers (rows are cleared of denominators first); intermediate entries
 stay minors of the input, which keeps bit growth polynomial instead of
-the exponential blowup of naive Fraction elimination.
+the exponential blowup of naive Fraction elimination.  Inverses, null
+spaces and column spaces read their answers off one Fraction RREF (_rref).
 """
 
 from __future__ import annotations
@@ -130,15 +131,18 @@ class RatMatrix:
         return [[float(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-def _integer_rows(A: RatMatrix) -> list[list[int]]:
-    # Clearing denominators row by row changes neither the rank nor which
-    # leading minors vanish, and lets Bareiss work in plain ints.
+def _integer_rows(A: RatMatrix) -> tuple[list[list[int]], int]:
+    """Rows of A cleared of denominators, and the product of the row
+    multipliers.  Clearing row by row changes neither the rank nor which
+    leading minors vanish, and lets Bareiss work in plain ints."""
     out = []
+    scale = 1
     for i in range(A.rows):
         row = A.row(i)
         m = lcm(*(x.denominator for x in row)) if row else 1
+        scale *= m
         out.append([int(x * m) for x in row])
-    return out
+    return out, scale
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
@@ -173,7 +177,7 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
 def mat_rank(A: RatMatrix) -> int:
     if A.rows == 0 or A.cols == 0:
         return 0
-    rank, _, _ = _bareiss(_integer_rows(A))
+    rank, _, _ = _bareiss(_integer_rows(A)[0])
     return rank
 
 
@@ -183,46 +187,20 @@ def mat_det(A: RatMatrix) -> Fraction:
     n = A.rows
     if n == 0:
         return Q(1)
-    scale = 1
-    m = []
-    for i in range(n):
-        row = A.row(i)
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        m.append([int(x * mult) for x in row])
+    m, scale = _integer_rows(A)
     rank, sign, last = _bareiss(m)
     if rank < n:
         return Q(0)
     return Q(sign * last, scale)
 
 
-def mat_inverse(A: RatMatrix) -> RatMatrix:
-    if not A.is_square():
-        raise NonSquare("inverse of a %dx%d matrix" % (A.rows, A.cols))
-    n = A.rows
-    aug = [list(A.row(i)) + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Q(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return RatMatrix.from_rows([row[n:] for row in aug])
-
-
-def null_space(A: RatMatrix) -> RatMatrix:
-    """Basis of the right null space, returned as columns (possibly none)."""
-    rows = [list(A.row(i)) for i in range(A.rows)]
-    n = A.cols
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions
+    (in place), and its pivot columns."""
+    cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(n):
+    for c in range(cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -235,6 +213,27 @@ def null_space(A: RatMatrix) -> RatMatrix:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
+    return rows, pivots
+
+
+def mat_inverse(A: RatMatrix) -> RatMatrix:
+    """A^{-1}, read off the right half of the RREF of [A | I]."""
+    if not A.is_square():
+        raise NonSquare("inverse of a %dx%d matrix" % (A.rows, A.cols))
+    n = A.rows
+    aug, pivots = _rref([list(A.row(i)) + [Q(1) if i == j else Q(0)
+                                           for j in range(n)]
+                         for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise InputError("matrix is singular")
+    return RatMatrix.from_rows([row[n:] for row in aug])
+
+
+def null_space(A: RatMatrix) -> RatMatrix:
+    """Basis of the right null space, returned as columns (possibly none):
+    one vector per free column of the RREF."""
+    n = A.cols
+    rows, pivots = _rref([list(A.row(i)) for i in range(A.rows)])
     free = [c for c in range(n) if c not in pivots]
     cols = []
     for f in free:
@@ -251,22 +250,7 @@ def null_space(A: RatMatrix) -> RatMatrix:
 
 def column_space(A: RatMatrix) -> "Subspace":
     """Span of the columns, with the pivot columns as basis."""
-    rows = [list(A.row(i)) for i in range(A.rows)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(A.cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
+    _, piv_cols = _rref([list(A.row(i)) for i in range(A.rows)])
     if not piv_cols:
         return Subspace.zero(A.rows)
     ent = tuple(A.at(i, c) for i in range(A.rows) for c in piv_cols)

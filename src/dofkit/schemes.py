@@ -1,5 +1,4 @@
-"""Input-distribution scheme types for the three supported families,
-plus the nearest-point quantizer.
+"""Input-distribution scheme types for the three supported families.
 
 Families:
   * SubspaceScheme  -- X_j = V_j Xtilde_j with jointly absolutely
@@ -21,7 +20,6 @@ from .errors import (
     AlphaOutOfRange,
     AmbientDimMismatch,
     DimMismatch,
-    EmptySet,
     InputError,
     RankDeficientDirections,
     RatioOutOfRange,
@@ -185,11 +183,3 @@ def validate_scheme(scheme: Scheme, H: ChannelMatrix) -> Scheme:
         return scheme
     raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
 
-
-def quantize_to_set(x, A: Iterable) -> Fraction:
-    """Nearest point of the finite set A to x; ties go to the smaller point."""
-    candidates = sorted({Q(a) for a in A})
-    if not candidates:
-        raise EmptySet("quantizer target set is empty")
-    x = Q(x)
-    return min(candidates, key=lambda a: (abs(x - a), a))

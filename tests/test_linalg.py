@@ -150,6 +150,55 @@ def test_column_space():
         assert S.contains(tuple(A.at(r, c) for r in range(A.rows)))
 
 
+# Frozen outputs of the three functions built on the shared RREF, on fixed
+# matrices: rank-deficient, wide, tall, zero, nonsingular and one that needs
+# row swaps.  Frozen from the separate Gauss-Jordan loop each function had
+# before, and recomputed by scripts/derive_oracles.py with sympy's
+# nullspace, columnspace and inv.  Each entry: (matrix, null-space basis
+# as columns, column-space basis, inverse; "singular" when there is none,
+# None when the matrix is not square).
+ELIMINATION_FROZEN = {
+    "rank_deficient_3x3": (
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+        [[-1], [-1], [1]], [[1, 2], [2, 4], [1, 0]], "singular"),
+    "wide_2x4": (
+        [[0, Q(1, 2), 0, 3], [2, 1, Q(1, 3), -1]],
+        [[Q(-1, 6), Q(7, 2)], [0, -6], [1, 0], [0, 1]],
+        [[0, Q(1, 2)], [2, 1]], None),
+    "tall_4x2": (
+        [[1, 2], [3, 4], [5, 6], [7, 8]],
+        [[], []], [[1, 2], [3, 4], [5, 6], [7, 8]], None),
+    "tall_rank_deficient_4x3": (
+        [[0, 0, 0], [2, 4, 6], [1, 2, 3], [1, 1, Q(-1, 2)]],
+        [[4], [Q(-7, 2)], [1]], [[0, 0], [2, 4], [1, 2], [1, 1]], None),
+    "zero_2x3": (
+        [[0, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[], []], None),
+    "nonsingular_3x3": (
+        [[0, Q(1, 3), 2], [1, 1, -1], [Q(5, 2), 0, 4]],
+        [[], [], []], [[0, Q(1, 3), 2], [1, 1, -1], [Q(5, 2), 0, 4]],
+        [[Q(-24, 43), Q(8, 43), Q(14, 43)], [Q(39, 43), Q(30, 43), Q(-12, 43)],
+         [Q(15, 43), Q(-5, 43), Q(2, 43)]]),
+    "permutation_3x3": (
+        [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+        [[], [], []], [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+        [[0, 0, Q(1, 3)], [0, Q(1, 2), 0], [1, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELIMINATION_FROZEN))
+def test_elimination_outputs_frozen(name):
+    rows, null, col, inv = ELIMINATION_FROZEN[name]
+    A = RatMatrix.from_rows(rows)
+    assert null_space(A) == RatMatrix.from_rows(null)
+    assert column_space(A).basis == RatMatrix.from_rows(col)
+    if inv == "singular":
+        with pytest.raises(InputError):
+            mat_inverse(A)
+    elif inv is not None:
+        assert mat_inverse(A) == RatMatrix.from_rows(inv)
+
+
 # ---------------------------------------------------------------- subspaces
 
 

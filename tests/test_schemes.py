@@ -2,23 +2,17 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dofkit import (
-    ChannelMatrix,
     FiniteDist,
     MixtureScheme,
-    RatMatrix,
     SelfSimilarScheme,
     SubspaceScheme,
-    quantize_to_set,
     validate_scheme,
 )
 from dofkit.errors import (
     AlphaOutOfRange,
     AmbientDimMismatch,
-    EmptySet,
     InputError,
     RankDeficientDirections,
     RatioOutOfRange,
@@ -96,25 +90,3 @@ def test_validate_scheme_against_channel():
     with pytest.raises(AmbientDimMismatch):
         # scalar supports cannot ride a two-dimensional channel
         validate_scheme(sym, H)
-
-
-def test_quantize_to_set():
-    A = [Q(0), Q(1, 2), Q(1)]
-    assert quantize_to_set(Q(3, 10), A) == Q(1, 2)
-    assert quantize_to_set(Q(9, 10), A) == Q(1)
-    assert quantize_to_set(Q(1, 4), A) == Q(0)   # tie resolves downward
-    assert quantize_to_set(Q(3, 4), A) == Q(1, 2)
-    with pytest.raises(EmptySet):
-        quantize_to_set(Q(1), [])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.fractions(min_value=-10, max_value=10, max_denominator=50),
-       st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=20),
-                min_size=1, max_size=8, unique=True))
-def test_quantize_is_nearest(x, A):
-    q = quantize_to_set(x, A)
-    assert q in A
-    assert all(abs(x - q) <= abs(x - a) for a in A)
-    # idempotent once inside the set
-    assert quantize_to_set(q, A) == q
