@@ -292,6 +292,39 @@ def main() -> None:
     total = math.fsum((hf - hi) / 8 for hf, hi in per_rx_vals)
     print("   total:", repr(total))
 
+    print("\n== M=2 constructor instance: ex1, k=8, N=1 (tests/test_constructor.py) ==")
+    # 8 K M H_max = 96 <= 2^7, so p = 7; the grid is {0, 1/2, 1} per
+    # coordinate, N=1 makes the fold the identity, and r = 2^-8.
+    grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    codewords = list(itertools.product(grid, repeat=2))
+    r = Fraction(1, 2 ** 8)
+
+    def linf_minmax(pts):
+        ds = [max(abs(x - y) for x, y in zip(a, b))
+              for a, b in itertools.combinations(pts, 2)]
+        return min(ds), max(ds)
+
+    def block(i, j):
+        return [row[2 * j:2 * j + 2] for row in ex1_rows[2 * i:2 * i + 2]]
+
+    bits = []
+    for i in range(3):
+        per = []
+        for users in (range(3), [j for j in range(3) if j != i]):
+            dist = {}
+            for combo in itertools.product(codewords, repeat=len(users)):
+                y = tuple(sum(block(i, j)[c][t] * w[t] for j, w in zip(users, combo)
+                              for t in range(2)) for c in range(2))
+                dist[y] = dist.get(y, Fraction(0)) + Fraction(1, 9 ** len(users))
+            m, Mx = linf_minmax(sorted(dist))
+            if r > Fraction(m) / (m + Mx):
+                print("   rx%d: open-set check fails" % (i + 1))
+            per.append(entropy_bits(dist.values()))
+        bits.append(per)
+        print("   rx%d: H_full=%s  H_int=%s" % (i + 1, per[0].hex(), per[1].hex()))
+    print("   total bits:", math.fsum(hf - hi for hf, hi in bits).hex(),
+          " log2(1/r) = 8.0")
+
     print("\n== geometric sumset minimum distances ==")
     for pts, rr, ell, in ((grid, Fraction(1, 16), 2), ([Fraction(0), Fraction(2)], Fraction(1, 2), 3)):
         sums = {math.fsum([])}  # placeholder replaced below

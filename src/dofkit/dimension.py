@@ -14,7 +14,6 @@ guess (OpenSetUnverified).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,26 +119,22 @@ def _point_set(points: Iterable) -> list[tuple[Fraction, ...]]:
     return sorted({_vec(p) for p in points})
 
 
-def _linf(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
-    return max(abs(x - y) for x, y in zip(a, b))
-
-
 def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
-    """Minimum and maximum pairwise l-infinity distance of a point set."""
+    """Minimum and maximum pairwise l-infinity distance of a point set.
+    The maximum is the largest coordinate range.  The minimum comes from a
+    sweep over the sorted points: the first-coordinate gap bounds the
+    distance from below, so each scan stops once it reaches the best."""
     pts = _point_set(points)
     if len(pts) < 2:
         raise TooFewPoints("need at least 2 distinct points, got %d" % len(pts))
-    if len(pts[0]) == 1:
-        # scalar fast path: sorted gaps
-        vals = [p[0] for p in pts]
-        m = min(b - a for a, b in zip(vals, vals[1:]))
-        return m, vals[-1] - vals[0]
-    m = None
-    M = None
-    for a, b in itertools.combinations(pts, 2):
-        d = _linf(a, b)
-        m = d if m is None or d < m else m
-        M = d if M is None or d > M else M
+    M = max(max(c) - min(c) for c in zip(*pts))
+    m = M
+    for i, a in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            b = pts[j]
+            if b[0] - a[0] >= m:
+                break
+            m = min(m, max(abs(x - y) for x, y in zip(a, b)))
     return m, M
 
 
@@ -153,7 +148,7 @@ def open_set_check(r, points: Iterable) -> bool:
     if len(pts) == 1:
         return True
     m, M = minmax_dist(pts)
-    return r <= Q(m, m + M) if (m + M) != 0 else False
+    return r <= Q(m, m + M)
 
 
 def entropy_finite(D: FiniteDist) -> float:
@@ -164,11 +159,10 @@ def entropy_finite(D: FiniteDist) -> float:
 
 def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
                     cap: int = CONVOLVE_CAP) -> FiniteDist:
-    """Exact distribution of sum_j A_j Z_j for independent Z_j ~ D_j.
-
-    Coinciding image points merge by probability addition; the product
-    support size is bounded by `cap` before any enumeration starts.
-    """
+    """Exact distribution of sum_j A_j Z_j for independent Z_j ~ D_j, by a
+    fold that adds each term's images to the points so far and merges
+    coinciding points.  `cap` bounds the product of the support sizes
+    before any work; the fold's work grows with the sumset instead."""
     if not terms:
         raise InputError("convolution of no terms")
     out_dim = terms[0][0].rows
@@ -184,23 +178,17 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
     if size > cap:
         raise SupportTooLarge("product support of %d points exceeds cap %d"
                               % (size, cap))
-    per_term = []
+    acc: dict[tuple[Fraction, ...], Fraction] = {(Q(0),) * out_dim: Q(1)}
     for A, D in terms:
-        imgs = []
-        for z, pz in zip(D.points, D.probs):
-            image = tuple(
-                sum((A.at(i, c) * z[c] for c in range(A.cols)), Q(0))
-                for i in range(out_dim))
-            imgs.append((image, pz))
-        per_term.append(tuple(imgs))
-    acc: dict[tuple[Fraction, ...], Fraction] = {}
-    for combo in itertools.product(*per_term):
-        point = tuple(sum(coords, Q(0))
-                      for coords in zip(*[img for img, _ in combo]))
-        prob = Q(1)
-        for _, pz in combo:
-            prob *= pz
-        acc[point] = acc.get(point, Q(0)) + prob
+        images = [(tuple(sum((A.at(i, c) * z[c] for c in range(A.cols)), Q(0))
+                         for i in range(out_dim)), pz)
+                  for z, pz in zip(D.points, D.probs)]
+        merged: dict[tuple[Fraction, ...], Fraction] = {}
+        for y, py in acc.items():
+            for image, pz in images:
+                point = tuple(a + b for a, b in zip(y, image))
+                merged[point] = merged.get(point, Q(0)) + py * pz
+        acc = merged
     pts = sorted(acc)
     return FiniteDist(tuple(pts), tuple(acc[p] for p in pts))
 
@@ -228,6 +216,14 @@ def dim_mixture_sum(alphas: Sequence, M: int) -> Fraction:
     return M * (1 - prod)
 
 
+def log2_inv_ratio(r) -> float:
+    """log2(1/r); refuses a ratio whose reciprocal overflows a float."""
+    try:
+        return math.log2(Q(1) / r)
+    except OverflowError:
+        raise RatioOutOfRange("1/r overflows a float for r = %s" % (r,)) from None
+
+
 def dim_selfsimilar(r, D: FiniteDist) -> DimValue:
     """H(D)/log2(1/r), certified only under the sufficient contraction
     condition; refuses (rather than guesses) when the check fails."""
@@ -235,6 +231,4 @@ def dim_selfsimilar(r, D: FiniteDist) -> DimValue:
     if not open_set_check(r, D.points):
         raise OpenSetUnverified(
             "cannot certify r = %s against the support's distance ratio" % (r,))
-    bits = entropy_finite(D)
-    log2_inv = math.log2(Q(1) / r)
-    return DimValue.from_entropy_ratio(bits, log2_inv)
+    return DimValue.from_entropy_ratio(entropy_finite(D), log2_inv_ratio(r))

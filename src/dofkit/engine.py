@@ -28,6 +28,7 @@ from .dimension import (
     dim_mixture_sum,
     dim_subspace_sum,
     entropy_finite,
+    log2_inv_ratio,
     open_set_check,
     sum_dims,
 )
@@ -175,7 +176,7 @@ def dof_eval(H: ChannelMatrix, scheme: Scheme) -> DofReport:
 
     if isinstance(scheme, SelfSimilarScheme):
         r = scheme.ratio
-        log2_inv = math.log2(Q(1) / r)
+        log2_inv = log2_inv_ratio(r)
         pairs = []
         for i in range(K):
             full_dist = convolve_linear(

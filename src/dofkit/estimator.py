@@ -140,6 +140,8 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
     not carry their ambient dimension and need M passed in (usually the
     channel's); self-similar series are truncated at ifs_depth terms
     (derived from k2 when not given)."""
+    if n < 1:
+        raise InputError("need at least one sample, got n=%d" % (n,))
     if isinstance(scheme, SubspaceScheme):
         users = len(scheme.directions)
         M = scheme.directions[0].rows

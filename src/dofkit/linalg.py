@@ -101,9 +101,6 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
     def scale(self, c) -> "RatMatrix":
         c = _q(c)
         return RatMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))

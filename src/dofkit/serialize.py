@@ -23,7 +23,6 @@ from .engine import (
     StrictnessClaim,
 )
 from .errors import InputError
-from .estimator import EstimatorConfig
 from .linalg import ChannelMatrix, DerangementCert, RatMatrix, Subspace
 from .schemes import (
     FiniteDist,
@@ -319,7 +318,3 @@ def params_json(params: ConstructionParams, grid: GridSet) -> dict:
             "H_max": rat_str(params.H_max), "r": rat_str(params.r),
             "grid": [rat_str(v) for v in grid.values]}
 
-
-def estimate_cfg_json(cfg: EstimatorConfig) -> dict:
-    return {"n_samples": cfg.n_samples, "k1": cfg.k1, "k2": cfg.k2,
-            "seed": cfg.seed, "ifs_depth": cfg.ifs_depth}

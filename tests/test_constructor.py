@@ -21,6 +21,7 @@ from dofkit import (
     minkowski_check,
     uniform_codewords,
 )
+from dofkit.examples import ex1
 from dofkit.errors import (
     ConditionViolated,
     InputError,
@@ -169,6 +170,22 @@ def test_constructed_dof_frozen_instance():
         assert t.interference_dim.as_float() == 0.396240625180289
     assert rep.total.as_float() == 0.3060986113514965
     assert rep.normalized == 0.3060986113514965
+
+
+def test_constructed_dof_frozen_two_dimensional_instance():
+    # ex1 (K=3, M=2) at k=8, N=1: p=7, a grid of 3 per coordinate
+    H, _ = ex1()
+    params, grid, _, rep = build_chain(H, k=8)
+    assert (params.p, len(grid.values)) == (7, 3)
+    bits = [(t.full_dim.entropy_bits.hex(), t.interference_dim.entropy_bits.hex())
+            for t in rep.per_receiver]
+    # brute-force product sumsets with all-pairs open-set distances
+    # (scripts/derive_oracles.py)
+    assert bits == [("0x1.4d212e4e6cc2cp+2", "0x1.24a52f963a3cep+2"),
+                    ("0x1.707896f60a312p+2", "0x1.456f72d55af13p+2"),
+                    ("0x1.67b27a69932bap+2", "0x1.3b0c89d198a12p+2")]
+    assert rep.total.entropy_bits.hex() == "0x1.005626e1b8a0ap+1"
+    assert rep.total.log2_inv_ratio == 8.0
 
 
 def test_constructed_dof_checks_ratio():

@@ -103,6 +103,20 @@ def test_minmax_dist_matches_bruteforce(vals):
     assert m == min(dists) and M == max(dists)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-6, 6)] * dim), min_size=2, max_size=12,
+    unique=True)), st.integers(1, 4))
+def test_minmax_dist_vectors_match_bruteforce(lattice, den):
+    # a small lattice makes ties in the sorted sweep's first coordinate
+    # common
+    pts = [tuple(Q(x, den) for x in p) for p in lattice]
+    m, M = minmax_dist(pts)
+    dists = [max(abs(x - y) for x, y in zip(a, b))
+             for a, b in itertools.combinations(pts, 2)]
+    assert m == min(dists) and M == max(dists)
+
+
 def test_open_set_check():
     assert open_set_check(Q(1, 3), [0, 2])        # 1/3 <= 2/(2+2)
     assert open_set_check(Q(1, 2), [0, 1])        # boundary allowed
@@ -186,6 +200,36 @@ def test_convolve_linear_is_sumset(seed):
     assert sum(out.probs) == 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_convolve_linear_matches_product_enumeration(seed):
+    rng = random.Random(seed)
+    M = rng.randint(1, 3)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        dim = rng.randint(1, 3)
+        A = RatMatrix.from_rows([[Q(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for _ in range(dim)] for _ in range(M)])
+        pts = {tuple(rng.randint(-2, 2) for _ in range(dim))
+               for _ in range(rng.randint(1, 4))}
+        weights = [rng.randint(1, 3) for _ in pts]
+        D = FiniteDist.from_pairs([(p, Q(w, sum(weights)))
+                                   for p, w in zip(pts, weights)])
+        terms.append((A, D))
+    out = convolve_linear(terms)
+    expect = {}
+    for combo in itertools.product(*[list(zip(D.points, D.probs))
+                                     for _, D in terms]):
+        y, prob = [Q(0)] * M, Q(1)
+        for (A, _), (z, pz) in zip(terms, combo):
+            for i in range(M):
+                y[i] += sum(A.at(i, c) * z[c] for c in range(A.cols))
+            prob *= pz
+        expect[tuple(y)] = expect.get(tuple(y), Q(0)) + prob
+    assert out.points == tuple(sorted(expect))
+    assert out.probs == tuple(expect[y] for y in sorted(expect))
+
+
 # ------------------------------------------------------------ three rules
 
 
@@ -237,6 +281,14 @@ def test_dim_selfsimilar_cantor():
     assert v.entropy_bits == 1.0
     assert v.log2_inv_ratio == math.log2(3.0)
     assert v.as_float() == 0.6309297535714575  # 1/log2(3), enumerated oracle
+
+
+def test_dim_selfsimilar_refuses_ratio_beyond_float_range():
+    # 1/r = 2^1100 has no float, so log2(1/r) cannot be formed
+    with pytest.raises(RatioOutOfRange):
+        dim_selfsimilar(Q(1, 2 ** 1100), FiniteDist.uniform([0, 1]))
+    v = dim_selfsimilar(Q(1, 2 ** 1000), FiniteDist.uniform([0, 1]))
+    assert v.log2_inv_ratio == 1000.0
 
 
 def test_dim_selfsimilar_refuses_overlap():

@@ -38,6 +38,7 @@ from dofkit.errors import (
     NotStandardForm,
     OddM,
     OpenSetUnverified,
+    RatioOutOfRange,
     SingularBlock,
     SingularScaling,
     TooFewUsers,
@@ -159,6 +160,13 @@ def test_selfsimilar_refuses_unverified_receiver():
     with pytest.raises(OpenSetUnverified) as exc:
         dof_eval(TWO_USER, SelfSimilarScheme(Q(1, 2), (W, W)))
     assert "receiver 1" in str(exc.value)
+
+
+def test_selfsimilar_refuses_ratio_beyond_float_range():
+    # 1/r = 2^1100 has no float, so log2(1/r) cannot be formed
+    W = FiniteDist.uniform([0, 1])
+    with pytest.raises(RatioOutOfRange):
+        dof_eval(TWO_USER, SelfSimilarScheme(Q(1, 2 ** 1100), (W, W)))
 
 
 # --------------------------------------------------------------- rescaling

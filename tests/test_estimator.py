@@ -61,6 +61,12 @@ def test_subspace_samples_live_on_the_line():
     assert np.all(xs[1] == 0.0)  # silent user
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sampling_refuses_fewer_than_one_sample(n):
+    with pytest.raises(InputError):
+        sample_scheme(MixtureScheme((Q(1, 2),)), n, seed=1, M=1)
+
+
 def test_mixture_samples_need_ambient_dim():
     mix = MixtureScheme((Q(1, 2),))
     with pytest.raises(InputError):
