@@ -141,16 +141,16 @@ def _cmd_search(args) -> tuple[dict, list[str]]:
     H = ser.parse_channel(_load_json(args.channel))
     spec = _load_json(args.pool)
     try:
-        dims = [int(d) for d in spec["dims"]]
+        dims = [int(d) for d in ser.parse_list(spec["dims"], "dims")]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError("pool file needs a dims list: %s" % e)
     if "pools" in spec:
-        pools = spec["pools"]
+        pools = ser.parse_list(spec["pools"], "pools")
     elif "pool" in spec:
         pools = [spec["pool"]] * H.K
     else:
         raise InputError("pool file needs a pool or pools entry")
-    pools = [[[ser.parse_rat(x) for x in vec] for vec in pool]
+    pools = [[ser.parse_vector(vec) for vec in ser.parse_list(pool, "pool")]
              for pool in pools]
     scheme, report = search_best_subspace(H, pools, dims)
     rep = ser.report_json(report)

@@ -233,6 +233,8 @@ def quantized_entropy(samples: np.ndarray, k: int) -> float:
     if k < 0:
         raise InputError("resolution exponent must be nonnegative")
     cells = _cells(samples, k)
+    if cells.shape[0] == 0:
+        raise InputError("no samples to take an entropy of")
     counts = np.unique(_pack(cells), return_counts=True)[1]
     return _entropy(counts / cells.shape[0])
 

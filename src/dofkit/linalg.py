@@ -1,11 +1,12 @@
 """Exact rational linear algebra: matrices over Fraction, subspaces,
 block channel matrices, and the fixed-point-free cross-link search.
 
-Rank and determinant use fraction-free Bareiss elimination over the
-integers (rows are cleared of denominators first); intermediate entries
-stay minors of the input, which keeps bit growth polynomial instead of
-the exponential blowup of naive Fraction elimination.  Inverses, null
-spaces and column spaces read their answers off one Fraction RREF (_rref).
+Rank, determinant, inverse, null space and column space all read their
+answers off one routine, _eliminate: fraction-free Gauss-Jordan
+elimination on Python ints (rows are cleared of denominators first).
+Intermediate entries stay minors of the input, which keeps bit growth
+polynomial instead of the exponential blowup of naive Fraction
+elimination, and the exact RREF is the result divided by one integer.
 """
 
 from __future__ import annotations
@@ -128,89 +129,71 @@ class RatMatrix:
         return [[float(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-def _integer_rows(A: RatMatrix) -> tuple[list[list[int]], int]:
-    """Rows of A cleared of denominators, and the product of the row
-    multipliers.  Clearing row by row changes neither the rank nor which
-    leading minors vanish, and lets Bareiss work in plain ints."""
-    out = []
+def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968, with the rows
+    above each pivot cleared too).
+
+    Each row is first cleared of denominators by its own integer multiplier;
+    that changes neither the rank nor the RREF.  A pivot p in row r, column
+    c then updates every other row i by
+        row_i[j] = (row_i[j] * p - row_i[c] * row_r[j]) / prev,
+    prev being the previous pivot (1 at the start).  Each division is exact:
+    by Sylvester's identity every entry after a step is a minor of the
+    cleared input (for a pivot row, the pivot block's minor with its own
+    column swapped for column j); a remainder would mean a broken
+    invariant and raises InvariantViolated.  Every pivot ends equal to the
+    last one: a new pivot row is zero in every earlier pivot column, so
+    each step multiplies an earlier pivot, which equals prev, by p / prev.
+    The RREF is therefore the returned rows divided by the last pivot.
+
+    Returns (rows, pivot columns, last pivot, sign of the row swaps,
+    product of the row multipliers).
+    """
+    m = []
     scale = 1
     for i in range(A.rows):
         row = A.row(i)
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= m
-        out.append([int(x * m) for x in row])
-    return out, scale
-
-
-def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination in place. Returns (rank, sign, last_pivot)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    prev = 1
-    sign = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        m.append([x.numerator * (mult // x.denominator) for x in row])
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(A.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, A.rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = m[i][j] * m[r][c] - m[i][c] * m[r][j]
-                q, rem = divmod(num, prev)
-                if rem:  # Sylvester's identity guarantees exactness
-                    raise InvariantViolated("Bareiss step is not exact")
-                m[i][j] = q
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r, sign, prev
+        pivot_row, p = m[r], m[r][c]
+        for i in range(A.rows):
+            if i == r:
+                continue
+            f = m[i][c]
+            out = []
+            for a, b in zip(m[i], pivot_row):
+                q, rem = divmod(a * p - f * b, prev)
+                if rem:
+                    raise InvariantViolated("fraction-free step is not exact")
+                out.append(q)
+            m[i] = out
+        prev = p
+        pivots.append(c)
+    return m, pivots, prev, sign, scale
 
 
 def mat_rank(A: RatMatrix) -> int:
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    rank, _, _ = _bareiss(_integer_rows(A)[0])
-    return rank
+    return len(_eliminate(A)[1])
 
 
 def mat_det(A: RatMatrix) -> Fraction:
     if not A.is_square():
         raise NonSquare("determinant of a %dx%d matrix" % (A.rows, A.cols))
-    n = A.rows
-    if n == 0:
-        return Q(1)
-    m, scale = _integer_rows(A)
-    rank, sign, last = _bareiss(m)
-    if rank < n:
+    _, pivots, last, sign, scale = _eliminate(A)
+    if len(pivots) < A.rows:
         return Q(0)
     return Q(sign * last, scale)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by Gauss-Jordan elimination over Fractions
-    (in place), and its pivot columns."""
-    cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 def mat_inverse(A: RatMatrix) -> RatMatrix:
@@ -218,36 +201,27 @@ def mat_inverse(A: RatMatrix) -> RatMatrix:
     if not A.is_square():
         raise NonSquare("inverse of a %dx%d matrix" % (A.rows, A.cols))
     n = A.rows
-    aug, pivots = _rref([list(A.row(i)) + [Q(1) if i == j else Q(0)
-                                           for j in range(n)]
-                         for i in range(n)])
+    m, pivots, last, _, _ = _eliminate(RatMatrix.hstack([A, RatMatrix.identity(n)]))
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
-    return RatMatrix.from_rows([row[n:] for row in aug])
+    return RatMatrix(n, n, tuple(Q(x, last) for row in m for x in row[n:]))
 
 
 def null_space(A: RatMatrix) -> RatMatrix:
     """Basis of the right null space, returned as columns (possibly none):
     one vector per free column of the RREF."""
     n = A.cols
-    rows, pivots = _rref([list(A.row(i)) for i in range(A.rows)])
+    m, pivots, last, _, _ = _eliminate(A)
     free = [c for c in range(n) if c not in pivots]
-    cols = []
-    for f in free:
-        v = [Q(0)] * n
-        v[f] = Q(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][f]
-        cols.append(v)
-    if not cols:
-        return RatMatrix.zeros(n, 0)
-    return RatMatrix(n, len(cols),
-                     tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
+    row_of = {pc: rr for rr, pc in enumerate(pivots)}
+    return RatMatrix(n, len(free), tuple(
+        Q(-m[row_of[i]][f], last) if i in row_of else Q(int(i == f))
+        for i in range(n) for f in free))
 
 
 def column_space(A: RatMatrix) -> "Subspace":
     """Span of the columns, with the pivot columns as basis."""
-    _, piv_cols = _rref([list(A.row(i)) for i in range(A.rows)])
+    piv_cols = _eliminate(A)[1]
     if not piv_cols:
         return Subspace.zero(A.rows)
     ent = tuple(A.at(i, c) for i in range(A.rows) for c in piv_cols)

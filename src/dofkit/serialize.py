@@ -48,6 +48,20 @@ def parse_rat(s: Any) -> Fraction:
         raise InputError("bad rational %r: %s" % (s, e))
 
 
+def parse_list(obj: Any, what: str) -> list:
+    """obj itself when it is a JSON list.  Anything else raises InputError;
+    a string would otherwise be read one character per entry."""
+    if not isinstance(obj, list):
+        raise InputError("%s must be a list, got %r" % (what, obj))
+    return obj
+
+
+def parse_vector(obj: Any) -> list[Fraction]:
+    """A list of rationals; a lone rational (number or string) is read as
+    the 1-vector the library's constructors make of a scalar."""
+    return [parse_rat(x) for x in (obj if isinstance(obj, list) else [obj])]
+
+
 def float_str(x: float) -> str:
     return repr(float(x))
 
@@ -68,7 +82,8 @@ def matrix_rows(A: RatMatrix) -> list[list[str]]:
 def parse_matrix(rows: Any) -> RatMatrix:
     if not isinstance(rows, list) or not rows:
         raise InputError("matrix must be a nonempty list of rows")
-    return RatMatrix.from_rows([[parse_rat(x) for x in row] for row in rows])
+    return RatMatrix.from_rows([[parse_rat(x) for x in parse_list(row, "matrix row")]
+                                for row in rows])
 
 
 def channel_json(H: ChannelMatrix) -> dict:
@@ -147,18 +162,18 @@ def parse_scheme(obj: Any) -> Scheme:
     except (KeyError, TypeError) as e:
         raise InputError("scheme needs a family field: %s" % e)
     if family == "subspace":
-        per_user = obj.get("directions")
-        if not isinstance(per_user, list):
-            raise InputError("subspace scheme needs a directions list")
-        cols = [[[parse_rat(x) for x in col] for col in user]
+        per_user = parse_list(obj.get("directions"), "directions")
+        cols = [[parse_vector(col) for col in parse_list(user, "user directions")]
                 for user in per_user]
         return SubspaceScheme.from_columns(
             cols, obj.get("latent", "uniform01"),
             ambient_dim=obj.get("M"))
     if family == "mixture":
-        return MixtureScheme.of([parse_rat(a) for a in obj.get("alpha", ())])
+        return MixtureScheme.of([parse_rat(a)
+                                 for a in parse_list(obj.get("alpha", []), "alpha")])
     if family == "selfsimilar":
-        supports = [parse_finite_dist(s) for s in obj.get("supports", ())]
+        supports = [parse_finite_dist(s)
+                    for s in parse_list(obj.get("supports", []), "supports")]
         return SelfSimilarScheme(ratio=parse_rat(obj.get("ratio")),
                                  supports=tuple(supports))
     raise InputError("unknown scheme family %r" % (family,))
@@ -171,8 +186,9 @@ def finite_dist_json(D: FiniteDist) -> dict:
 
 def parse_finite_dist(obj: Any) -> FiniteDist:
     try:
-        pts = tuple(tuple(parse_rat(x) for x in pt) for pt in obj["points"])
-        probs = tuple(parse_rat(p) for p in obj["probs"])
+        pts = tuple(tuple(parse_vector(pt))
+                    for pt in parse_list(obj["points"], "points"))
+        probs = tuple(parse_rat(p) for p in parse_list(obj["probs"], "probs"))
     except (KeyError, TypeError) as e:
         raise InputError("finite distribution needs points and probs: %s" % e)
     return FiniteDist(pts, probs)
@@ -189,9 +205,11 @@ def parse_mimo_pairs(obj: Any, M: int) -> MimoConfig:
     for t, pair in enumerate(raw):
         try:
             U = Subspace.from_columns(
-                M, [[parse_rat(x) for x in col] for col in pair["U"]])
+                M, [[parse_rat(x) for x in parse_list(col, "U column")]
+                    for col in parse_list(pair["U"], "U")])
             V = Subspace.from_columns(
-                M, [[parse_rat(x) for x in col] for col in pair["V"]])
+                M, [[parse_rat(x) for x in parse_list(col, "V column")]
+                    for col in parse_list(pair["V"], "V")])
         except (KeyError, TypeError) as e:
             raise InputError("pair %d needs U and V column lists: %s"
                              % (t + 1, e))

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dofkit import ChannelMatrix, MixtureScheme, dof_eval
+from dofkit import ChannelMatrix, MixtureScheme, SubspaceScheme, dof_eval
 from dofkit.cli import main
 from dofkit.examples import ex1
 from dofkit.serialize import channel_json, report_json, scheme_json
@@ -151,6 +151,44 @@ def test_search_command(files, capsys):
     assert obj["report"]["total"]["value"] == "3"
     assert obj["scheme"]["directions"] == [[["1", "1"]], [["1", "2"]],
                                            [["1", "3"]]]
+
+
+def test_search_reads_scalar_pool_entries_as_vectors(files, capsys, tmp_path):
+    p = tmp_path / "scalar_pool.json"
+    p.write_text(json.dumps({"pool": [1, "2"], "dims": [1, 1]}))
+    code, out, _ = run(capsys, "search", "--channel", files["two.json"],
+                       "--pool", str(p))
+    assert code == 0
+    assert json.loads(out)["scheme"]["directions"] == [[["1"]], [["1"]]]
+
+
+def test_search_refuses_pools_that_are_not_lists(files, capsys, tmp_path):
+    p = tmp_path / "bad_pools.json"
+    p.write_text(json.dumps({"pools": 5, "dims": [1, 1]}))
+    assert main(["search", "--channel", files["two.json"],
+                 "--pool", str(p)]) == 2
+
+
+def test_eval_reads_scalar_direction_columns(files, capsys, tmp_path):
+    p = tmp_path / "scalar_dirs.json"
+    p.write_text(json.dumps({"family": "subspace", "directions": [[1], [1]]}))
+    code, out, _ = run(capsys, "eval", "--channel", files["two.json"],
+                       "--scheme", str(p))
+    assert code == 0
+    assert json.loads(out) == report_json(dof_eval(
+        TWO_USER, SubspaceScheme.from_columns([[(1,)], [(1,)]])))
+
+
+@pytest.mark.parametrize("scheme", [
+    {"family": "selfsimilar", "ratio": "1/2", "supports": 5},
+    {"family": "mixture", "alpha": "10"},  # not the alphas 1 and 0
+])
+def test_eval_refuses_scheme_fields_that_are_not_lists(files, capsys,
+                                                       tmp_path, scheme):
+    p = tmp_path / "bad_scheme.json"
+    p.write_text(json.dumps(scheme))
+    assert main(["eval", "--channel", files["two.json"],
+                 "--scheme", str(p)]) == 2
 
 
 def test_standardize_command(capsys, tmp_path):

@@ -335,6 +335,11 @@ def test_estimate_dim_refuses_empty_samples():
         estimate_dim(np.zeros((0, 1)), EstimatorConfig(1, 1, 2, 0))
 
 
+def test_quantized_entropy_refuses_empty_samples():
+    with pytest.raises(InputError):
+        quantized_entropy(np.zeros((0, 1)), 3)
+
+
 def test_sample_size_warning_counts_the_given_samples():
     # 100 evenly spread samples at k2=6 estimate d ~ 1, so the guidance
     # asks for ~3200 samples, whatever cfg.n_samples says

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dofkit import ChannelMatrix, RatMatrix, Subspace
@@ -197,6 +197,79 @@ def test_elimination_outputs_frozen(name):
             mat_inverse(A)
     elif inv is not None:
         assert mat_inverse(A) == RatMatrix.from_rows(inv)
+
+
+def rref_reference(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions
+    (in place), and its pivot columns: an oracle independent of the
+    library's fraction-free integer kernel."""
+    cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Q(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-5 x 1-6 (and empty) matrices, half of them square, with zero
+    entries and, sometimes, a last row that combines two earlier ones."""
+    r = draw(st.integers(0, 5))
+    c = draw(st.one_of(st.just(r), st.integers(0, 6)))
+    entry = st.one_of(st.just(Q(0)), fractions_st)
+    rows = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):
+        a, b = draw(fractions_st), draw(fractions_st)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return RatMatrix(r, c, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+@example(RatMatrix(0, 3, ()))
+@example(RatMatrix(2, 0, ()))
+@example(RatMatrix(0, 0, ()))
+def test_elimination_matches_fraction_reference(A):
+    rref, pivots = rref_reference(A.to_rows())
+    assert mat_rank(A) == len(pivots)
+    free = [f for f in range(A.cols) if f not in pivots]
+    null = [Q(int(i == f)) if i not in pivots else -rref[pivots.index(i)][f]
+            for i in range(A.cols) for f in free]
+    assert null_space(A) == RatMatrix(A.cols, len(free), tuple(null))
+    assert column_space(A).basis == RatMatrix(
+        A.rows, len(pivots),
+        tuple(A.at(i, c) for i in range(A.rows) for c in pivots))
+    if not A.is_square():
+        return
+    n = A.rows
+    assert mat_det(A) == det_by_permutations(A)
+    aug, aug_pivots = rref_reference([row + [Q(int(i == j)) for j in range(n)]
+                                      for i, row in enumerate(A.to_rows())])
+    if aug_pivots[:n] == list(range(n)):
+        assert mat_inverse(A) == RatMatrix(
+            n, n, tuple(x for row in aug for x in row[n:]))
+    else:
+        with pytest.raises(InputError):
+            mat_inverse(A)
+
+
+def test_elimination_edge_shapes():
+    assert null_space(RatMatrix.zeros(0, 3)) == RatMatrix.identity(3)
+    assert null_space(RatMatrix.zeros(2, 0)) == RatMatrix.zeros(0, 0)
+    assert mat_det(RatMatrix.zeros(0, 0)) == 1
+    assert mat_inverse(RatMatrix.zeros(0, 0)) == RatMatrix.zeros(0, 0)
 
 
 # ---------------------------------------------------------------- subspaces

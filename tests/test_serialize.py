@@ -70,6 +70,8 @@ def test_matrix_roundtrip():
         parse_matrix([["1", "2"], ["3"]])
     with pytest.raises(InputError):
         parse_matrix([])
+    with pytest.raises(InputError):  # not the rows [1, 2] and [3, 4]
+        parse_matrix(["12", "34"])
 
 
 def test_channel_roundtrip():
@@ -163,3 +165,5 @@ def test_parse_mimo_pairs():
         parse_mimo_pairs({"pairs": [{"U": [["1", "1"]]}]}, M=2)
     with pytest.raises(InputError):
         parse_mimo_pairs({}, M=2)
+    with pytest.raises(InputError):  # not the column (1)
+        parse_mimo_pairs({"pairs": [{"U": "1", "V": [["1"]]}]}, M=1)
