@@ -1,5 +1,8 @@
 """Exact degrees-of-freedom analysis for K-user vector interference
-channels, with a Monte Carlo cross-check and a full-DoF input constructor."""
+channels, with a Monte Carlo cross-check and a self-similar input
+constructor (uniform grid codewords; its normalized DoF falls like 1/k in
+the resolution exponent k, see README).  Exact results are Fractions,
+computed on integers over a common denominator inside."""
 
 from .construct import (
     ConstructionParams,

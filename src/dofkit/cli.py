@@ -141,8 +141,9 @@ def _cmd_search(args) -> tuple[dict, list[str]]:
     H = ser.parse_channel(_load_json(args.channel))
     spec = _load_json(args.pool)
     try:
-        dims = [int(d) for d in ser.parse_list(spec["dims"], "dims")]
-    except (KeyError, TypeError, ValueError) as e:
+        dims = [ser.parse_int(d, "dims entry")
+                for d in ser.parse_list(spec["dims"], "dims")]
+    except (KeyError, TypeError) as e:
         raise InputError("pool file needs a dims list: %s" % e)
     if "pools" in spec:
         pools = ser.parse_list(spec["pools"], "pools")
@@ -228,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("construct", help="full-DoF self-similar input "
-                                         "construction")
+    p = sub.add_parser("construct", help="self-similar input construction "
+                                         "from uniform grid codewords")
     p.add_argument("--channel", required=True)
     p.add_argument("--N", type=int, required=True, help="blocklength")
     p.add_argument("--k", type=int, required=True,

@@ -9,7 +9,10 @@ Three evaluation paths, one per scheme family:
 
 The third path only certifies the formula under the sufficient condition;
 when it fails the answer may still be correct, but this module refuses to
-guess (OpenSetUnverified).
+guess (OpenSetUnverified).  It takes and returns Fractions but computes on
+integers: convolve_linear folds points scaled by their common denominator
+with integer probability counts, and minmax_dist and open_set_check sweep
+the points' integer lattice (m/(m+M) does not change under scaling).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -115,16 +119,19 @@ def sum_dims(values: Sequence[DimValue]) -> DimValue:
     return DimValue.from_estimate(fsum(v.estimate for v in values), se)
 
 
-def _point_set(points: Iterable) -> list[tuple[Fraction, ...]]:
-    return sorted({_vec(p) for p in points})
+def _lattice(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
+    """Distinct points, sorted, as integers over their common denominator L."""
+    pts = [_vec(p) for p in points]
+    L = math.lcm(*(x.denominator for p in pts for x in p))
+    return sorted({tuple(x.numerator * (L // x.denominator) for x in p)
+                   for p in pts}), L
 
 
-def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
-    """Minimum and maximum pairwise l-infinity distance of a point set.
-    The maximum is the largest coordinate range.  The minimum comes from a
-    sweep over the sorted points: the first-coordinate gap bounds the
+def _sweep(pts: list[tuple[int, ...]]) -> tuple[int, int]:
+    """Minimum and maximum pairwise l-infinity distance of sorted distinct
+    integer points.  The maximum is the largest coordinate range.  The
+    minimum comes from a sweep: the first-coordinate gap bounds the
     distance from below, so each scan stops once it reaches the best."""
-    pts = _point_set(points)
     if len(pts) < 2:
         raise TooFewPoints("need at least 2 distinct points, got %d" % len(pts))
     M = max(max(c) - min(c) for c in zip(*pts))
@@ -138,16 +145,24 @@ def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
     return m, M
 
 
+def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
+    """Minimum and maximum pairwise l-infinity distance of a point set."""
+    pts, L = _lattice(points)
+    m, M = _sweep(pts)
+    return Q(m, L), Q(M, L)
+
+
 def open_set_check(r, points: Iterable) -> bool:
     """Sufficient condition r <= m/(m+M) for the contraction images of the
-    point set to stay disjoint.  Single-point sets pass trivially."""
+    point set to stay disjoint.  Single-point sets pass trivially.  The
+    ratio is scale-free, so it is taken on the integer lattice."""
     r = Q(r)
     if not (0 < r < 1):
         raise RatioOutOfRange("ratio must lie in (0,1), got %s" % (r,))
-    pts = _point_set(points)
+    pts, _ = _lattice(points)
     if len(pts) == 1:
         return True
-    m, M = minmax_dist(pts)
+    m, M = _sweep(pts)
     return r <= Q(m, m + M)
 
 
@@ -161,8 +176,11 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
                     cap: int = CONVOLVE_CAP) -> FiniteDist:
     """Exact distribution of sum_j A_j Z_j for independent Z_j ~ D_j, by a
     fold that adds each term's images to the points so far and merges
-    coinciding points.  `cap` bounds the product of the support sizes
-    before any work; the fold's work grows with the sumset instead."""
+    coinciding points.  The fold runs on integers: points over the lcm L of
+    every image's denominators, and each term's probabilities as counts
+    over their own lcm W_j, so the counts sum to prod_j W_j.  Fractions are
+    built only for the result.  `cap` bounds the product of the support
+    sizes before any work; the fold's work grows with the sumset instead."""
     if not terms:
         raise InputError("convolution of no terms")
     out_dim = terms[0][0].rows
@@ -178,19 +196,27 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
     if size > cap:
         raise SupportTooLarge("product support of %d points exceeds cap %d"
                               % (size, cap))
-    acc: dict[tuple[Fraction, ...], Fraction] = {(Q(0),) * out_dim: Q(1)}
-    for A, D in terms:
-        images = [(tuple(sum((A.at(i, c) * z[c] for c in range(A.cols)), Q(0))
-                         for i in range(out_dim)), pz)
-                  for z, pz in zip(D.points, D.probs)]
-        merged: dict[tuple[Fraction, ...], Fraction] = {}
-        for y, py in acc.items():
-            for image, pz in images:
-                point = tuple(a + b for a, b in zip(y, image))
-                merged[point] = merged.get(point, Q(0)) + py * pz
+    images = [[tuple(sum((A.at(i, c) * z[c] for c in range(A.cols)), Q(0))
+                     for i in range(out_dim)) for z in D.points]
+              for A, D in terms]
+    L = math.lcm(*(x.denominator for ys in images for y in ys for x in y))
+    acc: dict[tuple[int, ...], int] = {(0,) * out_dim: 1}
+    total = 1
+    for ys, (_, D) in zip(images, terms):
+        W = math.lcm(*(p.denominator for p in D.probs))
+        counts = [(tuple(x.numerator * (L // x.denominator) for x in y),
+                   p.numerator * (W // p.denominator))
+                  for y, p in zip(ys, D.probs)]
+        merged: dict[tuple[int, ...], int] = {}
+        for y, cy in acc.items():
+            for image, cz in counts:
+                point = tuple(map(add, y, image))
+                merged[point] = merged.get(point, 0) + cy * cz
         acc = merged
+        total *= W
     pts = sorted(acc)
-    return FiniteDist(tuple(pts), tuple(acc[p] for p in pts))
+    return FiniteDist(tuple(tuple(Q(x, L) for x in p) for p in pts),
+                      tuple(Q(acc[p], total) for p in pts))
 
 
 def dim_subspace_sum(terms: Sequence[RatMatrix]) -> int:

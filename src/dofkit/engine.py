@@ -63,6 +63,7 @@ from .schemes import (
     Scheme,
     SelfSimilarScheme,
     SubspaceScheme,
+    _vec,
     validate_scheme,
 )
 
@@ -179,22 +180,18 @@ def dof_eval(H: ChannelMatrix, scheme: Scheme) -> DofReport:
         log2_inv = log2_inv_ratio(r)
         pairs = []
         for i in range(K):
-            full_dist = convolve_linear(
-                [(H.block(i, j), scheme.supports[j]) for j in range(K)])
-            if not open_set_check(r, full_dist.points):
-                raise OpenSetUnverified(
-                    "receiver %d full sumset fails the contraction check"
-                    % (i + 1,))
-            int_dist = convolve_linear(
-                [(H.block(i, j), scheme.supports[j])
-                 for j in range(K) if j != i])
-            if not open_set_check(r, int_dist.points):
-                raise OpenSetUnverified(
-                    "receiver %d interference sumset fails the contraction "
-                    "check" % (i + 1,))
-            pairs.append((
-                DimValue.from_entropy_ratio(entropy_finite(full_dist), log2_inv),
-                DimValue.from_entropy_ratio(entropy_finite(int_dist), log2_inv)))
+            others = [j for j in range(K) if j != i]
+            pair = []
+            for name, users in (("full", range(K)), ("interference", others)):
+                dist = convolve_linear(
+                    [(H.block(i, j), scheme.supports[j]) for j in users])
+                if not open_set_check(r, dist.points):
+                    raise OpenSetUnverified(
+                        "receiver %d %s sumset fails the contraction check"
+                        % (i + 1, name))
+                pair.append(DimValue.from_entropy_ratio(entropy_finite(dist),
+                                                        log2_inv))
+            pairs.append(tuple(pair))
         return assemble_report(pairs, H, "entropy-ratio")
 
     raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
@@ -405,14 +402,8 @@ def cyclic_delay_channel(K: int, M: int) -> tuple[ChannelMatrix, SubspaceScheme]
     eye = RatMatrix.identity(M)
     blocks = [[eye if i == j else shift for j in range(K)] for i in range(K)]
     H = ChannelMatrix.from_blocks(blocks)
-    cols = []
-    for m in range(0, M, 2):
-        e = [Q(0)] * M
-        e[m] = Q(1)
-        cols.append(e)
-    V = RatMatrix(M, M // 2,
-                  tuple(cols[c][i] for i in range(M) for c in range(len(cols))))
-    scheme = SubspaceScheme(tuple(V for _ in range(K)), "uniform01")
+    even = [[int(i == m) for i in range(M)] for m in range(0, M, 2)]
+    scheme = SubspaceScheme.from_columns([even] * K)
     return H, scheme
 
 
@@ -522,7 +513,7 @@ def search_best_subspace(H: ChannelMatrix,
     for j, pool in enumerate(pools):
         vecs = []
         for v in pool:
-            v = tuple(Q(x) for x in v) if isinstance(v, (tuple, list)) else (Q(v),)
+            v = _vec(v)
             if len(v) != H.M:
                 raise DimMismatch("pool vector for user %d has length %d, "
                                   "channel has M=%d" % (j + 1, len(v), H.M))
@@ -539,20 +530,13 @@ def search_best_subspace(H: ChannelMatrix,
     if count == 0:
         raise InputError("some pool is smaller than the requested dimension")
 
-    def matrix_for(j: int, subset: tuple[int, ...]) -> RatMatrix:
-        cols = [vec_pools[j][t] for t in subset]
-        return RatMatrix(H.M, len(cols),
-                         tuple(cols[c][i] for i in range(H.M)
-                               for c in range(len(cols))))
-
     best: tuple[SubspaceScheme, DofReport] | None = None
-    choices = [tuple(itertools.combinations(range(len(vec_pools[j])), dims[j]))
+    choices = [tuple(itertools.combinations(vec_pools[j], dims[j]))
                for j in range(H.K)]
     for assignment in itertools.product(*choices):
-        mats = [matrix_for(j, assignment[j]) for j in range(H.K)]
-        if any(mat_rank(V) != V.cols for V in mats):
+        scheme = SubspaceScheme.from_columns(assignment, ambient_dim=H.M)
+        if any(mat_rank(V) != V.cols for V in scheme.directions):
             continue
-        scheme = SubspaceScheme(tuple(mats), "uniform01")
         report = dof_eval(H, scheme)
         if best is None or report.total.rational > best[1].total.rational:
             best = (scheme, report)

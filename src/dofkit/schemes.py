@@ -25,7 +25,7 @@ from .errors import (
     RatioOutOfRange,
     UserCountMismatch,
 )
-from .linalg import ChannelMatrix, RatMatrix, mat_rank
+from .linalg import ChannelMatrix, RatMatrix, _q, mat_rank
 
 Q = Fraction
 
@@ -34,8 +34,8 @@ LATENT_TAGS = ("uniform01", "gaussian")
 
 def _vec(point) -> tuple[Fraction, ...]:
     if isinstance(point, (tuple, list)):
-        return tuple(Q(x) for x in point)
-    return (Q(point),)
+        return tuple(map(_q, point))
+    return (_q(point),)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,14 @@ def parse_rat(s: Any) -> Fraction:
         raise InputError("bad rational %r: %s" % (s, e))
 
 
+def parse_int(obj: Any, what: str) -> int:
+    """obj itself when it is a JSON integer.  Booleans, other numbers and
+    strings raise InputError rather than being truncated or passed on."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise InputError("%s must be an integer, got %r" % (what, obj))
+    return obj
+
+
 def parse_list(obj: Any, what: str) -> list:
     """obj itself when it is a JSON list.  Anything else raises InputError;
     a string would otherwise be read one character per entry."""
@@ -99,10 +107,10 @@ def parse_channel(obj: Any) -> ChannelMatrix:
     """Parse a channel; {"complex": true} inputs carry {"re","im"} entries
     and come back as their real 2M x 2M stacking."""
     try:
-        K = int(obj["K"])
-        M = int(obj["M"])
+        K = parse_int(obj["K"], "channel K")
+        M = parse_int(obj["M"], "channel M")
         raw = obj["blocks"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise InputError("channel needs K, M and a KxK blocks grid: %s" % e)
     if not isinstance(raw, list) or len(raw) != K \
             or any(not isinstance(r, list) or len(r) != K for r in raw):
@@ -165,9 +173,10 @@ def parse_scheme(obj: Any) -> Scheme:
         per_user = parse_list(obj.get("directions"), "directions")
         cols = [[parse_vector(col) for col in parse_list(user, "user directions")]
                 for user in per_user]
+        M = obj.get("M")
         return SubspaceScheme.from_columns(
             cols, obj.get("latent", "uniform01"),
-            ambient_dim=obj.get("M"))
+            ambient_dim=None if M is None else parse_int(M, "scheme M"))
     if family == "mixture":
         return MixtureScheme.of([parse_rat(a)
                                  for a in parse_list(obj.get("alpha", []), "alpha")])

@@ -169,6 +169,33 @@ def test_search_refuses_pools_that_are_not_lists(files, capsys, tmp_path):
                  "--pool", str(p)]) == 2
 
 
+@pytest.mark.parametrize("dims", [[1.7, 1], [True, 1], ["1", 1]])
+def test_search_refuses_dims_that_are_not_integers(files, capsys, tmp_path,
+                                                   dims):
+    p = tmp_path / "bad_dims.json"
+    p.write_text(json.dumps({"pool": [1, 2], "dims": dims}))
+    assert main(["search", "--channel", files["two.json"],
+                 "--pool", str(p)]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("K", 2.9), ("M", True), ("K", "2")])
+def test_channel_refuses_sizes_that_are_not_integers(files, capsys, tmp_path,
+                                                     field, value):
+    p = tmp_path / "bad_channel.json"
+    p.write_text(json.dumps(dict(channel_json(TWO_USER), **{field: value})))
+    assert main(["eval", "--channel", str(p), "--scheme", files["mix.json"]]) == 2
+
+
+@pytest.mark.parametrize("M", ["x", True, 1.5])
+def test_eval_refuses_subspace_M_that_is_not_an_integer(files, capsys,
+                                                        tmp_path, M):
+    p = tmp_path / "bad_M.json"
+    p.write_text(json.dumps({"family": "subspace", "directions": [[1], []],
+                             "M": M}))
+    assert main(["eval", "--channel", files["two.json"],
+                 "--scheme", str(p)]) == 2
+
+
 def test_eval_reads_scalar_direction_columns(files, capsys, tmp_path):
     p = tmp_path / "scalar_dirs.json"
     p.write_text(json.dumps({"family": "subspace", "directions": [[1], [1]]}))

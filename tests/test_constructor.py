@@ -10,6 +10,7 @@ import pytest
 from dofkit import (
     ChannelMatrix,
     ConstructionParams,
+    FiniteDist,
     GridSet,
     RatMatrix,
     SelfSimilarScheme,
@@ -137,6 +138,49 @@ def test_fold_codewords():
     assert [len(F.points) for F in folded] == [9, 9]  # injective fold
     vals = {pt[0] for pt in folded[0].points}
     assert vals == {a + b * Q(1, 16) for a in grid.values for b in grid.values}
+
+
+def test_uniform_codewords_refuses_full_sumset_product_up_front():
+    # 9 codeword points fit the cap, but each receiver's full sumset would
+    # convolve 9^2 = 81 > 50 points: refused before any codeword is built
+    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    assert len(uniform_codewords(grid, 2, 1, 2, cap=81)[0].points) == 9
+    with pytest.raises(SupportTooLarge):
+        uniform_codewords(grid, 2, 1, 2, cap=50)
+
+
+def fold_reference(dist, r, N):
+    """W = sum_n r^n x^(n) codeword by codeword over Fractions, merging
+    equal images by adding probabilities: an oracle independent of the
+    integer fold in convolve_linear."""
+    M = dist.dim // N
+    acc = {}
+    for pt, prob in zip(dist.points, dist.probs):
+        w = tuple(sum((r ** n * pt[n * M + c] for n in range(N)), Q(0))
+                  for c in range(M))
+        acc[w] = acc.get(w, Q(0)) + prob
+    pts = sorted(acc)
+    return FiniteDist(tuple(pts), tuple(acc[p] for p in pts))
+
+
+def test_fold_codewords_matches_fraction_reference():
+    rng = random.Random(21)
+    for _ in range(120):
+        N, M, s = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        grid = GridSet(tuple(sorted({Q(rng.randint(0, 2 ** s), 2 ** s)
+                                     for _ in range(rng.randint(2, 4))})))
+        params = ConstructionParams(k=s + rng.randint(1, 3), p=1, N=N, H_max=1)
+        if rng.random() < 0.5:
+            dists = uniform_codewords(grid, 1, M, N)
+        else:  # hand-built codewords with non-uniform probabilities
+            pts = sorted({tuple(rng.choice(grid.values) for _ in range(M * N))
+                          for _ in range(rng.randint(1, 12))})
+            weights = [rng.randint(1, 9) for _ in pts]
+            dists = (FiniteDist(tuple(pts), tuple(Q(w, sum(weights))
+                                                  for w in weights)),)
+        # r <= 2^-(s+1) < m/(m+M) for entry gaps m >= 2^-s: always certified
+        for D, F in zip(dists, fold_codewords(dists, params)):
+            assert F == fold_reference(D, params.r, N)
 
 
 def test_fold_refuses_overlapping_grid():
