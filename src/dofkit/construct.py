@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .dimension import (CONVOLVE_CAP, convolve_linear, minmax_dist,
                         open_set_check)
-from .engine import DofReport, dof_eval, scale_transform
+from .engine import DofReport, dof_eval
 from .errors import (
     ConditionViolated,
     InputError,
@@ -87,21 +88,20 @@ class GridSet:
 def clear_to_integers(H: ChannelMatrix) -> ChannelMatrix:
     """Scale each transmitter's column block by the lcm of its entry
     denominators; the result has integer entries and identical dof."""
-    from math import lcm
-    scalings = []
-    for j in range(H.K):
-        denoms = [x.denominator for i in range(H.K)
-                  for x in H.block(i, j).entries]
-        scalings.append(RatMatrix.identity(H.M).scale(lcm(*denoms)))
-    eye = [RatMatrix.identity(H.M) for _ in range(H.K)]
-    return scale_transform(H, eye, scalings)
+    mults = [lcm(*(x.denominator for i in range(H.K)
+                   for x in H.block(i, j).entries)) for j in range(H.K)]
+    return ChannelMatrix.from_blocks(
+        [[H.block(i, j).scale(mults[j]) for j in range(H.K)]
+         for i in range(H.K)])
 
 
 def grid_build(H: ChannelMatrix, k: int, N: int = 1
                ) -> tuple[ConstructionParams, GridSet]:
     """Smallest grid coarsening p with 2^{-p} <= 1/(8 K M H_max), then the
     dyadic grid 2^{-(k-p)} {0, 1, ..., 2^{k-p}}.  H must already have
-    integer entries (see clear_to_integers)."""
+    integer entries (see clear_to_integers).  A grid whose codeword
+    support (2^{k-p}+1)^{MN} exceeds CONVOLVE_CAP, which uniform_codewords
+    would refuse, is refused before any grid value is built."""
     if any(x.denominator != 1 for row in H.blocks for b in row
            for x in b.entries):
         raise InputError("grid sizing needs integer entries; "
@@ -115,6 +115,11 @@ def grid_build(H: ChannelMatrix, k: int, N: int = 1
         raise ResolutionTooCoarse(
             "k=%d does not exceed the required coarsening p=%d" % (k, p))
     params = ConstructionParams(k=k, p=p, N=N, H_max=Q(h_max))
+    # (2^{k-p}+1)^{MN} > 2^{(k-p)MN}: a long enough exponent alone decides
+    if ((k - p) * H.M * N >= CONVOLVE_CAP.bit_length()
+            or (2 ** (k - p) + 1) ** (H.M * N) > CONVOLVE_CAP):
+        raise SupportTooLarge("codeword support of (2^%d+1)^%d points exceeds "
+                              "cap %d" % (k - p, H.M * N, CONVOLVE_CAP))
     step = params.grid_step
     count = 2 ** (k - p)
     grid = GridSet(tuple(t * step for t in range(count + 1)))

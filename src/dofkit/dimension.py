@@ -33,8 +33,8 @@ from .errors import (
     SupportTooLarge,
     TooFewPoints,
 )
-from .linalg import RatMatrix, mat_rank
-from .schemes import FiniteDist, _vec
+from .linalg import RatMatrix, _vec, mat_rank
+from .schemes import FiniteDist
 
 Q = Fraction
 

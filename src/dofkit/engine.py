@@ -51,6 +51,7 @@ from .linalg import (
     ChannelMatrix,
     RatMatrix,
     Subspace,
+    _vec,
     column_space,
     find_derangement,
     mat_det,
@@ -63,7 +64,6 @@ from .schemes import (
     Scheme,
     SelfSimilarScheme,
     SubspaceScheme,
-    _vec,
     validate_scheme,
 )
 
@@ -271,17 +271,9 @@ def compose_independent(per_subchannel: Sequence[SubspaceScheme]) -> SubspaceSch
     directions = []
     for j in range(K):
         parts = [s.directions[j] for s in per_subchannel]
-        total_cols = sum(p.cols for p in parts)
-        ent = []
-        offset = 0
-        grid = [[Q(0)] * total_cols for _ in range(M)]
-        for m, p in enumerate(parts):
-            for c in range(p.cols):
-                grid[m][offset + c] = p.at(0, c)
-            offset += p.cols
-        for row in grid:
-            ent.extend(row)
-        directions.append(RatMatrix(M, total_cols, tuple(ent)))
+        directions.append(RatMatrix.from_blocks(
+            [[p if n == m else RatMatrix.zeros(1, p.cols)
+              for n, p in enumerate(parts)] for m in range(M)]))
     return SubspaceScheme(tuple(directions), tag)
 
 
@@ -367,21 +359,10 @@ def complex_stack(re_blocks: Sequence[Sequence[RatMatrix]],
     if len(im_blocks) != K or any(len(r) != K for r in re_blocks) \
             or any(len(r) != K for r in im_blocks):
         raise DimMismatch("real and imaginary grids must both be K x K")
-    M = re_blocks[0][0].rows
-    blocks = []
-    for i in range(K):
-        brow = []
-        for j in range(K):
-            R, I = re_blocks[i][j], im_blocks[i][j]
-            if (R.rows, R.cols) != (M, M) or (I.rows, I.cols) != (M, M):
-                raise DimMismatch("complex block (%d,%d) is not M x M"
-                                  % (i + 1, j + 1))
-            top = RatMatrix.hstack([R, -I])
-            bot = RatMatrix.hstack([I, R])
-            ent = top.entries + bot.entries
-            brow.append(RatMatrix(2 * M, 2 * M, ent))
-        blocks.append(brow)
-    return ChannelMatrix.from_blocks(blocks)
+    return ChannelMatrix.from_blocks(
+        [[RatMatrix.from_blocks([[R, -I], [I, R]])
+          for R, I in zip(re_row, im_row)]
+         for re_row, im_row in zip(re_blocks, im_blocks)])
 
 
 def cyclic_delay_channel(K: int, M: int) -> tuple[ChannelMatrix, SubspaceScheme]:

@@ -34,15 +34,11 @@ def parallel_channel(subchannels: Sequence[RatMatrix]) -> ChannelMatrix:
     for S in subchannels:
         if (S.rows, S.cols) != (K, K):
             raise InputError("subchannel matrices must all be K x K")
-    blocks = []
-    for i in range(K):
-        brow = []
-        for j in range(K):
-            ent = tuple(subchannels[m].at(i, j) if m == mm else Q(0)
-                        for m in range(M) for mm in range(M))
-            brow.append(RatMatrix(M, M, ent))
-        blocks.append(brow)
-    return ChannelMatrix.from_blocks(blocks)
+    return ChannelMatrix.from_blocks(
+        [[RatMatrix.from_rows([[S.at(i, j) if n == m else 0
+                                for n in range(M)]
+                               for m, S in enumerate(subchannels)])
+          for j in range(K)] for i in range(K)])
 
 
 def ex1() -> tuple[ChannelMatrix, SubspaceScheme]:
@@ -75,12 +71,6 @@ def propgain(lams: Sequence = (1, 2)) -> tuple[ChannelMatrix, SubspaceScheme]:
     return H, scheme
 
 
-def _det_of_columns(cols: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(cols)
-    return mat_det(RatMatrix(n, n, tuple(cols[j][i] for i in range(n)
-                                         for j in range(n))))
-
-
 def k3m3(seed: Optional[int] = None) -> tuple[ChannelMatrix, SubspaceScheme]:
     """Three parallel standard-form subchannels [[a,1,1],[1,b,1],[1,d,c]]
     with coefficients drawn from a seeded stream.  The three generic-
@@ -96,9 +86,8 @@ def k3m3(seed: Optional[int] = None) -> tuple[ChannelMatrix, SubspaceScheme]:
         a, b, c, d = draw_vec(), draw_vec(), draw_vec(), draw_vec()
         ones = (Q(1), Q(1), Q(1))
         ad = tuple(x * y for x, y in zip(a, d))
-        if (_det_of_columns([a, ad, ones]) != 0
-                and _det_of_columns([ones, d, b]) != 0
-                and _det_of_columns([ones, d, c]) != 0):
+        if all(mat_det(RatMatrix.from_columns(cols)) != 0
+               for cols in ([a, ad, ones], [ones, d, b], [ones, d, c])):
             break
     subs = [RatMatrix.from_rows([
         [a[m], 1, 1],
@@ -125,9 +114,11 @@ def get_fixture(name: str, seed: Optional[int] = None,
     if name == "k3m3":
         return k3m3(seed)
     if name == "cyclic":
-        if len(args) != 2:
-            raise InputError("cyclic fixture needs K and M, e.g. "
-                             "`example cyclic 3 4`")
-        return cyclic_delay_channel(int(args[0]), int(args[1]))
+        try:
+            K, M = map(int, args)
+        except ValueError:
+            raise InputError("cyclic fixture needs integers K and M, e.g. "
+                             "`example cyclic 3 4`, got %r" % (list(args),))
+        return cyclic_delay_channel(K, M)
     raise InputError("unknown fixture %r (have: ex1, stacked, propgain, "
                      "k3m3, cyclic)" % (name,))

@@ -7,6 +7,12 @@ elimination on Python ints (rows are cleared of denominators first).
 Intermediate entries stay minors of the input, which keeps bit growth
 polynomial instead of the exponential blowup of naive Fraction
 elimination, and the exact RREF is the result divided by one integer.
+
+Matrices are assembled from pieces by two builders only:
+RatMatrix.from_columns (column j is columns[j]; a scalar is a 1-vector)
+and RatMatrix.from_blocks (a grid of blocks).  Every caller that has
+columns or blocks goes through them, so the row-major entry layout is
+decided in this module alone.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AmbientDimMismatch,
@@ -30,6 +36,12 @@ Q = Fraction
 
 def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _vec(point) -> tuple[Fraction, ...]:
+    if isinstance(point, (tuple, list)):
+        return tuple(map(_q, point))
+    return (_q(point),)
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,39 @@ class RatMatrix:
         return cls(r, c, tuple(_q(x) for row in rows for x in row))
 
     @classmethod
+    def from_columns(cls, columns: Iterable, rows: int | None = None
+                     ) -> "RatMatrix":
+        """Column j is columns[j]; a scalar column is a 1-vector.  rows,
+        when given, is the length every column must have; it is required
+        when there are no columns."""
+        cols = [_vec(c) for c in columns]
+        if rows is None:
+            if not cols:
+                raise InputError("a matrix with no columns needs a row count")
+            rows = len(cols[0])
+        if any(len(c) != rows for c in cols):
+            raise DimMismatch("columns must all have length %d" % rows)
+        return cls(rows, len(cols), tuple(x for r in zip(*cols) for x in r))
+
+    @classmethod
+    def from_blocks(cls, grid: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
+        """Block matrix with block (a, b) = grid[a][b].  The blocks of one
+        grid row share a row count, those of one grid column a column
+        count."""
+        if not grid or not grid[0]:
+            raise InputError("block matrix of no blocks")
+        widths = [b.cols for b in grid[0]]
+        ent = []
+        for brow in grid:
+            if ([b.cols for b in brow] != widths
+                    or any(b.rows != brow[0].rows for b in brow)):
+                raise DimMismatch("blocks of one grid row must share a height "
+                                  "and those of one grid column a width")
+            ent.extend(x for i in range(brow[0].rows) for b in brow
+                       for x in b.row(i))
+        return cls(sum(brow[0].rows for brow in grid), sum(widths), tuple(ent))
+
+    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls(n, n, tuple(Q(1) if i == j else Q(0)
                                for i in range(n) for j in range(n)))
@@ -76,10 +121,7 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j)
-                               for j in range(self.cols)
-                               for i in range(self.rows)))
+        return RatMatrix.from_columns(map(self.row, range(self.rows)), self.cols)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -108,16 +150,7 @@ class RatMatrix:
 
     @staticmethod
     def hstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        if not mats:
-            raise InputError("hstack of nothing")
-        r = mats[0].rows
-        if any(m.rows != r for m in mats):
-            raise DimMismatch("hstack requires equal row counts")
-        ent = []
-        for i in range(r):
-            for m in mats:
-                ent.extend(m.row(i))
-        return RatMatrix(r, sum(m.cols for m in mats), tuple(ent))
+        return RatMatrix.from_blocks([mats])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -221,11 +254,8 @@ def null_space(A: RatMatrix) -> RatMatrix:
 
 def column_space(A: RatMatrix) -> "Subspace":
     """Span of the columns, with the pivot columns as basis."""
-    piv_cols = _eliminate(A)[1]
-    if not piv_cols:
-        return Subspace.zero(A.rows)
-    ent = tuple(A.at(i, c) for i in range(A.rows) for c in piv_cols)
-    return Subspace(A.rows, RatMatrix(A.rows, len(piv_cols), ent))
+    return Subspace(A.rows, RatMatrix.from_columns(
+        map(A.col, _eliminate(A)[1]), A.rows))
 
 
 @dataclass(frozen=True)
@@ -247,13 +277,7 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, ambient_dim: int, columns: Sequence[Sequence]) -> "Subspace":
-        if not columns:
-            return cls(ambient_dim, RatMatrix.zeros(ambient_dim, 0))
-        cols = [[_q(x) for x in col] for col in columns]
-        if any(len(c) != ambient_dim for c in cols):
-            raise DimMismatch("column length differs from ambient dimension")
-        ent = tuple(cols[j][i] for i in range(ambient_dim) for j in range(len(cols)))
-        return cls(ambient_dim, RatMatrix(ambient_dim, len(cols), ent))
+        return cls(ambient_dim, RatMatrix.from_columns(columns, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -267,7 +291,7 @@ class Subspace:
         return Subspace(self.ambient_dim, null_space(self.basis.transpose()))
 
     def contains(self, vector: Sequence) -> bool:
-        v = RatMatrix(self.ambient_dim, 1, tuple(_q(x) for x in vector))
+        v = RatMatrix.from_columns([vector], self.ambient_dim)
         return mat_rank(RatMatrix.hstack([self.basis, v])) == self.dim
 
 
@@ -328,28 +352,15 @@ class ChannelMatrix:
         big = RatMatrix.from_rows(rows)
         if (big.rows, big.cols) != (K * M, K * M):
             raise DimMismatch("expected a %d x %d array" % (K * M, K * M))
-        blocks = []
-        for i in range(K):
-            brow = []
-            for j in range(K):
-                ent = tuple(big.at(i * M + a, j * M + b)
-                            for a in range(M) for b in range(M))
-                brow.append(RatMatrix(M, M, ent))
-            blocks.append(tuple(brow))
-        return cls(K, M, tuple(blocks))
+        return cls.from_blocks([[RatMatrix.from_rows(
+            [big.row(a)[j * M:(j + 1) * M] for a in range(i * M, (i + 1) * M)])
+            for j in range(K)] for i in range(K)])
 
     def block(self, i: int, j: int) -> RatMatrix:
         return self.blocks[i][j]
 
     def full_matrix(self) -> RatMatrix:
-        rows = []
-        for i in range(self.K):
-            for a in range(self.M):
-                row = []
-                for j in range(self.K):
-                    row.extend(self.blocks[i][j].row(a))
-                rows.append(row)
-        return RatMatrix.from_rows(rows)
+        return RatMatrix.from_blocks(self.blocks)
 
     def is_parallel(self) -> bool:
         return all(self._is_diag(self.blocks[i][j])

@@ -25,17 +25,11 @@ from .errors import (
     RatioOutOfRange,
     UserCountMismatch,
 )
-from .linalg import ChannelMatrix, RatMatrix, _q, mat_rank
+from .linalg import ChannelMatrix, RatMatrix, _vec, mat_rank
 
 Q = Fraction
 
 LATENT_TAGS = ("uniform01", "gaussian")
-
-
-def _vec(point) -> tuple[Fraction, ...]:
-    if isinstance(point, (tuple, list)):
-        return tuple(map(_q, point))
-    return (_q(point),)
 
 
 @dataclass(frozen=True)
@@ -101,18 +95,10 @@ class SubspaceScheme:
                      ambient_dim: int | None = None) -> "SubspaceScheme":
         """Build direction matrices from per-user lists of column vectors.
         ambient_dim is only needed when some user has no columns at all."""
-        mats = []
-        for cols in per_user_columns:
-            cols = [_vec(c) for c in cols]
-            if cols:
-                m = len(cols[0])
-                ent = tuple(cols[j][i] for i in range(m) for j in range(len(cols)))
-                mats.append(RatMatrix(m, len(cols), ent))
-            elif ambient_dim is not None:
-                mats.append(RatMatrix.zeros(ambient_dim, 0))
-            else:
-                raise InputError("a user with no directions needs ambient_dim")
-        return cls(tuple(mats), latent_tag)
+        if ambient_dim is None and not all(per_user_columns):
+            raise InputError("a user with no directions needs ambient_dim")
+        return cls(tuple(RatMatrix.from_columns(cols, ambient_dim)
+                         for cols in per_user_columns), latent_tag)
 
 
 @dataclass(frozen=True)

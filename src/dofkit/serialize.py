@@ -132,20 +132,22 @@ def parse_channel(obj: Any) -> ChannelMatrix:
                         "complex entries need re/im fields: %s" % e)
             re_blocks.append(re_row)
             im_blocks.append(im_row)
+        _require_m_by_m(re_blocks + im_blocks, M)
         return complex_stack(re_blocks, im_blocks)
     blocks = [[parse_matrix(raw[i][j]) for j in range(K)] for i in range(K)]
-    for brow in blocks:
-        for b in brow:
-            if (b.rows, b.cols) != (M, M):
-                raise InputError("every block must be M x M")
+    _require_m_by_m(blocks, M)
     return ChannelMatrix.from_blocks(blocks)
+
+
+def _require_m_by_m(block_rows: list, M: int) -> None:
+    if any((b.rows, b.cols) != (M, M) for brow in block_rows for b in brow):
+        raise InputError("every block must be M x M")
 
 
 # -- schemes -----------------------------------------------------------------
 
 def _columns(A: RatMatrix) -> list[list[str]]:
-    return [[rat_str(A.at(i, j)) for i in range(A.rows)]
-            for j in range(A.cols)]
+    return [[rat_str(x) for x in A.col(j)] for j in range(A.cols)]
 
 
 def scheme_json(scheme: Scheme) -> dict:
@@ -211,7 +213,7 @@ def parse_mimo_pairs(obj: Any, M: int) -> MimoConfig:
     except (KeyError, TypeError) as e:
         raise InputError("mimo input needs a pairs list: %s" % e)
     pairs = []
-    for t, pair in enumerate(raw):
+    for t, pair in enumerate(parse_list(raw, "pairs")):
         try:
             U = Subspace.from_columns(
                 M, [[parse_rat(x) for x in parse_list(col, "U column")]

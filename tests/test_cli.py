@@ -218,6 +218,39 @@ def test_eval_refuses_scheme_fields_that_are_not_lists(files, capsys,
                  "--scheme", str(p)]) == 2
 
 
+@pytest.mark.parametrize("cols", [[[1, 0], [0, 1, 7]], [[1, 0, 7], [0, 1]]])
+def test_eval_refuses_ragged_direction_columns(files, capsys, tmp_path, cols):
+    p = tmp_path / "ragged.json"
+    p.write_text(json.dumps({"family": "subspace",
+                             "directions": [cols, [[1, 1]], [[1, 2]]]}))
+    assert main(["eval", "--channel", files["ex1.json"],
+                 "--scheme", str(p)]) == 2
+
+
+@pytest.mark.parametrize("args", [["a", "b"], ["3", "2.5"], ["3", "4", "5"]])
+def test_example_refuses_cyclic_sizes_that_are_not_integers(capsys, args):
+    assert main(["example", "cyclic", *args]) == 2
+
+
+def test_mimo_refuses_pairs_that_are_not_a_list(files, capsys, tmp_path):
+    p = tmp_path / "bad_pairs.json"
+    p.write_text(json.dumps({"pairs": 5}))
+    assert main(["mimo", "--channel", files["ex1.json"],
+                 "--pairs", str(p)]) == 2
+
+
+def test_complex_channel_refuses_blocks_that_are_not_M_by_M(files, capsys,
+                                                           tmp_path):
+    entry = [[{"re": "1", "im": "0"}]]
+    p = tmp_path / "complex.json"
+    p.write_text(json.dumps({"K": 2, "M": 5, "complex": True,
+                             "blocks": [[entry, entry], [entry, entry]]}))
+    assert main(["bound", "--channel", str(p)]) == 2
+    p.write_text(json.dumps({"K": 2, "M": 1, "complex": True,
+                             "blocks": [[entry, entry], [entry, entry]]}))
+    assert main(["bound", "--channel", str(p)]) == 0
+
+
 def test_standardize_command(capsys, tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(

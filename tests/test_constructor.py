@@ -93,6 +93,15 @@ def test_grid_build_resolution():
         grid_build(TWO_USER, 4)  # k must strictly exceed p
 
 
+def test_grid_build_refuses_codeword_supports_over_the_cap():
+    # TWO_USER has p = 4 and M = 1: (2^(k-4)+1)^N codeword points, cap 10^6
+    assert len(grid_build(TWO_USER, 5, 12)[1].values) == 3  # 3^12 = 531441
+    assert len(grid_build(TWO_USER, 13, 2)[1].values) == 513  # 513^2 = 263169
+    for k, N in ((5, 13), (14, 2), (10 ** 9, 1)):  # 3^13, 1025^2, 2^huge
+        with pytest.raises(SupportTooLarge):
+            grid_build(TWO_USER, k, N)
+
+
 def test_grid_build_requires_integers():
     H = ChannelMatrix.from_rows(2, 1, [[Q(1, 2), 1], [1, 1]])
     with pytest.raises(InputError):

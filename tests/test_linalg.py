@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dofkit import ChannelMatrix, RatMatrix, Subspace
-from dofkit.errors import InputError, UserCountMismatch
+from dofkit.errors import DimMismatch, InputError, UserCountMismatch
 from dofkit.linalg import (
     column_space,
     find_derangement,
@@ -68,6 +68,42 @@ def test_matrix_ops_smoke():
     assert A.scale(Q(1, 2)).at(0, 1) == 1
     with pytest.raises(InputError):
         A * RatMatrix.identity(3)
+
+
+def test_from_columns_and_from_blocks_match_row_major_assembly():
+    rng = random.Random(8)
+    for _ in range(60):
+        heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        grid = [[rand_matrix(rng, h, w) for w in widths] for h in heights]
+        rows = [[x for b in brow for x in b.row(a)]
+                for brow, h in zip(grid, heights) for a in range(h)]
+        expect = RatMatrix(sum(heights), sum(widths),
+                           tuple(x for row in rows for x in row))
+        assert RatMatrix.from_blocks(grid) == expect
+        assert RatMatrix.from_columns(
+            [[row[j] for row in rows] for j in range(expect.cols)],
+            expect.rows) == expect
+    assert RatMatrix.from_columns([1, (2,)]) == RatMatrix.from_rows([[1, 2]])
+    assert RatMatrix.from_columns([], 3) == RatMatrix.zeros(3, 0)
+
+    A, B = RatMatrix.identity(2), RatMatrix.identity(3)
+    with pytest.raises(DimMismatch):
+        RatMatrix.from_blocks([[A, B]])  # heights 2 and 3 in one grid row
+    with pytest.raises(DimMismatch):
+        RatMatrix.from_blocks([[A], [RatMatrix.zeros(2, 3)]])  # widths 2 and 3
+    with pytest.raises(DimMismatch):
+        RatMatrix.from_blocks([[A, A], [A]])  # ragged grid
+    with pytest.raises(InputError):
+        RatMatrix.from_blocks([])
+    with pytest.raises(InputError):
+        RatMatrix.from_blocks([[]])
+    with pytest.raises(DimMismatch):
+        RatMatrix.from_columns([(1, 0), (0, 1, 7)])
+    with pytest.raises(DimMismatch):
+        RatMatrix.from_columns([(1, 0)], 3)
+    with pytest.raises(InputError):
+        RatMatrix.from_columns([])
 
 
 def test_det_frozen_values():

@@ -13,6 +13,7 @@ from dofkit import (
 from dofkit.errors import (
     AlphaOutOfRange,
     AmbientDimMismatch,
+    DimMismatch,
     InputError,
     RankDeficientDirections,
     RatioOutOfRange,
@@ -52,6 +53,12 @@ def test_subspace_scheme_from_columns():
     with pytest.raises(InputError):
         SubspaceScheme.from_columns([[(1, 1)]], latent_tag="cauchy",
                                     ambient_dim=2)
+
+
+@pytest.mark.parametrize("cols", [[(1, 0), (0, 1, 7)], [(1, 0, 7), (0, 1)]])
+def test_subspace_scheme_refuses_ragged_direction_columns(cols):
+    with pytest.raises(DimMismatch):
+        SubspaceScheme.from_columns([cols, [(1, 1)]])
 
 
 def test_selfsimilar_ratio_range():
