@@ -13,9 +13,10 @@ Cells are counted from one quantization per signal: floor(2^k2 x) is
 computed once, and the k1 and intermediate cells are arithmetic right
 shifts of it, which is exact because floor(floor(y)/2^s) = floor(y/2^s)
 and scaling by 2^k is exact in binary floating point.  Each resolution's
-cell rows are packed into one lexicographic mixed-radix int64 key and
-grouped by a 1-D sort, which gives the same groups, in the same order, as
-np.unique(axis=0) at a fraction of the cost.
+cell rows are packed into one lexicographic mixed-radix int64 key, dense
+in [0, n), and grouped by counting (np.bincount) rather than sorting,
+which gives the same groups, in the same order, as np.unique(axis=0) at a
+fraction of the cost.
 
 NOTE: floating point is confined to this module; nothing here feeds back
 into the exact evaluation paths.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dimension import DimValue, minmax_dist
 from .engine import DofReport, assemble_report
-from .errors import InputError
+from .errors import InputError, InvariantViolated
 from .linalg import ChannelMatrix
 from .schemes import (
     MixtureScheme,
@@ -47,6 +48,7 @@ Q = Fraction
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 16
+_DRAW_LIMIT = 1 << 24  # elements of one self-similar (batch, depth, M) draw
 _CELL_LIMIT = 1 << 62
 
 
@@ -139,7 +141,8 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
     """n i.i.d. samples per user, shape (n, M) each.  Mixture schemes do
     not carry their ambient dimension and need M passed in (usually the
     channel's); self-similar series are truncated at ifs_depth terms
-    (derived from k2 when not given)."""
+    (derived from k2 when not given), and a batch of more than
+    _DRAW_LIMIT series terms is refused before any draw."""
     if n < 1:
         raise InputError("need at least one sample, got n=%d" % (n,))
     if isinstance(scheme, SubspaceScheme):
@@ -156,6 +159,11 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
             if k2 is None:
                 raise InputError("self-similar sampling needs ifs_depth or k2")
             ifs_depth = ifs_truncation_depth(scheme, k2)
+        terms = min(n, _BATCH) * ifs_depth * M
+        if terms > _DRAW_LIMIT:
+            raise InputError("self-similar draw of depth %d needs %d terms "
+                             "per batch, above the limit %d"
+                             % (ifs_depth, terms, _DRAW_LIMIT))
     else:
         raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
 
@@ -195,14 +203,15 @@ def _rank(values: np.ndarray) -> np.ndarray:
 
 def _pack(cells: np.ndarray, shift: int = 0) -> np.ndarray:
     """One int64 key per row of cells >> shift, for an (n, M) int64 cell
-    array, ordered like the rows lexicographically: np.unique on the keys
-    gives the groups, inverse and counts of np.unique(axis=0) on the rows.
+    array, ordered like the rows lexicographically: _group on the keys
+    gives the inverse and counts of np.unique(axis=0) on the rows.  Every
+    key lies in [0, n).
 
     The key is mixed-radix, column 0 most significant, with digits
     col - col.min().  Before a column would push the key range to 2^62 the
     running key is re-ranked to 0..distinct-1 (and, if that is still too
     wide, the column too); ranking preserves order, so the key stays exact
-    for every M."""
+    for every M.  A final key range above n is re-ranked the same way."""
     key = np.zeros(cells.shape[0], dtype=np.int64)
     if not key.size:
         return key
@@ -220,7 +229,20 @@ def _pack(cells: np.ndarray, shift: int = 0) -> np.ndarray:
         key *= width
         key += col
         radix *= width
+    if radix > len(key):
+        key = _rank(key)
     return key
+
+
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, counts) of np.unique(key) for keys in [0, len(key)),
+    counted with one bincount instead of a sort."""
+    if int(key.max()) >= len(key):  # bincount would allocate max+1 counters
+        raise InvariantViolated("cell keys are not dense: max %d for %d keys"
+                                % (int(key.max()), len(key)))
+    counts = np.bincount(key)
+    present = counts > 0
+    return (np.cumsum(present) - 1)[key], counts[present]
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -235,7 +257,7 @@ def quantized_entropy(samples: np.ndarray, k: int) -> float:
     cells = _cells(samples, k)
     if cells.shape[0] == 0:
         raise InputError("no samples to take an entropy of")
-    counts = np.unique(_pack(cells), return_counts=True)[1]
+    counts = _group(_pack(cells))[1]
     return _entropy(counts / cells.shape[0])
 
 
@@ -263,10 +285,8 @@ def estimate_dim(samples: np.ndarray, cfg: EstimatorConfig) -> DimEstimate:
     if n == 0:
         raise InputError("no samples to estimate a dimension from")
     span = cfg.k2 - cfg.k1
-    _, inv1, c1 = np.unique(_pack(cells2, span), return_inverse=True,
-                            return_counts=True)
-    _, inv2, c2 = np.unique(_pack(cells2), return_inverse=True,
-                            return_counts=True)
+    inv1, c1 = _group(_pack(cells2, span))
+    inv2, c2 = _group(_pack(cells2))
     p1 = c1 / n
     p2 = c2 / n
     h1 = _entropy(p1)
@@ -275,7 +295,7 @@ def estimate_dim(samples: np.ndarray, cfg: EstimatorConfig) -> DimEstimate:
     s_curv = 0.0  # computed before g, so fewer per-sample arrays coexist
     if span >= 2:
         mid = (cfg.k1 + cfg.k2) // 2
-        cm = np.unique(_pack(cells2, cfg.k2 - mid), return_counts=True)[1]
+        cm = _group(_pack(cells2, cfg.k2 - mid))[1]
         hm = _entropy(cm / n)
         s_curv = abs((h2 - hm) / (cfg.k2 - mid)
                      - (hm - h1) / (mid - cfg.k1))

@@ -294,6 +294,16 @@ def test_estimate_seed_from_environment(files, capsys, monkeypatch):
     assert out_override == out_flag
 
 
+def test_estimate_refuses_over_deep_self_similar_draw(files, capsys):
+    # refused before sampling, not after asking numpy for the memory
+    code, out, err = run(capsys, "estimate", "--channel", files["two.json"],
+                         "--scheme", files["selfsim.json"], "--samples",
+                         "1000", "--k1", "3", "--k2", "6",
+                         "--depth", str(10**12))
+    assert code == 2 and out == ""
+    assert "depth" in err
+
+
 def test_exit_code_on_missing_file(capsys):
     assert main(["eval", "--channel", "/nonexistent/ch.json",
                  "--scheme", "/nonexistent/s.json"]) == 2

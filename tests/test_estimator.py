@@ -22,8 +22,10 @@ from dofkit import (
     quantized_entropy,
     sample_scheme,
 )
-from dofkit.errors import InputError
+from dofkit.errors import InputError, InvariantViolated
 from dofkit.estimator import (
+    _cells,
+    _group,
     _pack,
     ifs_truncation_depth,
 )
@@ -86,6 +88,15 @@ def test_ifs_truncation_depth():
     assert ifs_truncation_depth(flat, k2=12) == 1  # single atom: no tail
 
 
+def test_sampling_refuses_over_deep_self_similar_draws():
+    # refused before any draw: a given depth, and a derived one (k2=3000
+    # gives depth 1896, about 124M terms in one 65536-sample batch)
+    with pytest.raises(InputError, match="depth 1000000000000"):
+        sample_scheme(CANTOR, 1000, seed=0, ifs_depth=10**12)
+    with pytest.raises(InputError, match="depth 1896 "):
+        sample_scheme(CANTOR, 1 << 16, seed=0, k2=3000)
+
+
 # --------------------------------------------------------- plug-in entropy
 
 
@@ -138,6 +149,7 @@ def test_cells_refuse_resolutions_past_the_key_range():
        st.lists(st.integers(0, 61), min_size=6, max_size=6),
        st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
 @example(6, 300, [61] * 6, 0, 0)  # every column wide: re-rank key and column
+@example(2, 300, [1] * 6, 0, 0)  # key range below n: no re-rank at all
 def test_packed_keys_group_like_unique_rows(M, n, exps, shift, seed):
     # Columns drawn from a few values each, so rows repeat; wide columns
     # push the packed key past 2^62 and force the re-rank step.
@@ -160,12 +172,22 @@ def test_packed_key_just_past_int64():
 
 
 def _assert_packed_like_unique(cells, shift=0):
-    _, inverse, counts = np.unique(_pack(cells, shift), return_inverse=True,
+    key = _pack(cells, shift)
+    _, inverse, counts = np.unique(key, return_inverse=True,
                                    return_counts=True)
     _, want_inverse, want_counts = np.unique(
         cells >> shift, axis=0, return_inverse=True, return_counts=True)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
     assert np.array_equal(counts, want_counts)
+    group_inverse, group_counts = _group(key)
+    assert np.array_equal(group_inverse, want_inverse.reshape(-1))
+    assert np.array_equal(group_counts, want_counts)
+
+
+def test_group_refuses_sparse_keys():
+    # a key range past n would make bincount allocate max + 1 counters
+    with pytest.raises(InvariantViolated):
+        _group(np.array([0, 1 << 40]))
 
 
 # ------------------------------------------------------------ dimension fits
@@ -195,6 +217,59 @@ def test_estimate_dim_mixture():
     est = estimate_dim(xs, EstimatorConfig(n_samples=100_000, k1=6, k2=12,
                                            seed=6))
     assert abs(est.value - 0.5) < 0.05
+
+
+def _estimate_dim_sort_reference(samples, cfg):
+    """(value, stderr, h1, h2) of estimate_dim with every resolution's
+    cells grouped by np.unique(axis=0) sorts, as the estimator once did."""
+    cells = _cells(samples, cfg.k2)
+    n = len(cells)
+    span = cfg.k2 - cfg.k1
+
+    def group(shift):
+        _, inverse, counts = np.unique(cells >> shift, axis=0,
+                                       return_inverse=True,
+                                       return_counts=True)
+        return inverse.reshape(-1), counts / n
+
+    def entropy(p):
+        return float(-np.sum(p * np.log2(p)))
+
+    (inv1, p1), (inv2, p2) = group(span), group(0)
+    h1, h2 = entropy(p1), entropy(p2)
+    s_curv = 0.0
+    if span >= 2:
+        mid = (cfg.k1 + cfg.k2) // 2
+        hm = entropy(group(cfg.k2 - mid)[1])
+        s_curv = abs((h2 - hm) / (cfg.k2 - mid) - (hm - h1) / (mid - cfg.k1))
+    g = (np.log2(p1[inv1]) - np.log2(p2[inv2])) / span
+    s_noise = float(np.std(g, ddof=1) / math.sqrt(n))
+    s_bias = (len(p2) - len(p1)) / (2.0 * n * math.log(2) * span)
+    return (h2 - h1) / span, math.hypot(s_noise, s_bias, s_curv), h1, h2
+
+
+GAUSS_2D = SubspaceScheme.from_columns([[(1, 0), (0, 1)]],
+                                       latent_tag="gaussian", ambient_dim=2)
+
+
+@pytest.mark.parametrize("scheme, kwargs, n, k1, k2, dense", [
+    (MixtureScheme((Q(1, 2),)), {"M": 1}, 2000, 3, 6, True),
+    (GAUSS_2D, {}, 500, 8, 12, False),
+])
+def test_estimate_dim_matches_sort_reference(scheme, kwargs, n, k1, k2,
+                                             dense):
+    cfg = EstimatorConfig(n_samples=n, k1=k1, k2=k2, seed=31)
+    xs = sample_scheme(scheme, n, cfg.seed, **kwargs)[0]
+    # dense: the packed key range is below n and no re-rank runs
+    widths = np.ptp(_cells(xs, k2), axis=0) + 1
+    assert (math.prod(int(w) for w in widths) <= n) == dense
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = estimate_dim(xs, cfg)
+    value, stderr, h1, h2 = _estimate_dim_sort_reference(xs, cfg)
+    assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
+    assert quantized_entropy(xs, k1).hex() == h1.hex()
+    assert quantized_entropy(xs, k2).hex() == h2.hex()
 
 
 def test_estimate_dim_warns_when_undersampled():
