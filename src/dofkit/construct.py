@@ -111,9 +111,6 @@ def grid_build(H: ChannelMatrix, k: int, N: int = 1
         raise InputError("all-zero channel has no grid sizing")
     need = 8 * H.K * H.M * int(h_max)  # want 2^p >= need
     p = max(1, (need - 1).bit_length())
-    if k <= p:
-        raise ResolutionTooCoarse(
-            "k=%d does not exceed the required coarsening p=%d" % (k, p))
     params = ConstructionParams(k=k, p=p, N=N, H_max=Q(h_max))
     # (2^{k-p}+1)^{MN} > 2^{(k-p)MN}: a long enough exponent alone decides
     if ((k - p) * H.M * N >= CONVOLVE_CAP.bit_length()

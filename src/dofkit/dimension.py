@@ -122,6 +122,8 @@ def sum_dims(values: Sequence[DimValue]) -> DimValue:
 def _lattice(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
     """Distinct points, sorted, as integers over their common denominator L."""
     pts = [_vec(p) for p in points]
+    if len({len(p) for p in pts}) > 1:
+        raise DimMismatch("points of unequal dimension")
     L = math.lcm(*(x.denominator for p in pts for x in p))
     return sorted({tuple(x.numerator * (L // x.denominator) for x in p)
                    for p in pts}), L

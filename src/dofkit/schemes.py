@@ -12,6 +12,7 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -25,7 +26,7 @@ from .errors import (
     RatioOutOfRange,
     UserCountMismatch,
 )
-from .linalg import ChannelMatrix, RatMatrix, _vec, mat_rank
+from .linalg import ChannelMatrix, RatMatrix, _q, _vec, mat_rank
 
 Q = Fraction
 
@@ -40,6 +41,8 @@ class FiniteDist:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(map(_vec, self.points)))
+        object.__setattr__(self, "probs", tuple(map(_q, self.probs)))
         if not self.points:
             raise InputError("empty support")
         if len(self.points) != len(self.probs):
@@ -49,26 +52,20 @@ class FiniteDist:
             raise DimMismatch("support points of unequal dimension")
         if len(set(self.points)) != len(self.points):
             raise InputError("support points must be pairwise distinct")
-        if any(p <= 0 for p in self.probs):
+        if any(p.numerator <= 0 for p in self.probs):
             raise InputError("probabilities must be positive")
-        if sum(self.probs) != 1:
+        W = math.lcm(*(p.denominator for p in self.probs))
+        if sum(p.numerator * (W // p.denominator) for p in self.probs) != W:
             raise InputError("probabilities must sum to exactly 1")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "FiniteDist":
-        pts, pr = [], []
-        for point, prob in pairs:
-            pts.append(_vec(point))
-            pr.append(Q(prob))
-        return cls(tuple(pts), tuple(pr))
+        pairs = tuple(pairs)
+        return cls(tuple(pt for pt, _ in pairs), tuple(pr for _, pr in pairs))
 
     @classmethod
     def uniform(cls, values: Sequence) -> "FiniteDist":
-        pts = tuple(_vec(v) for v in values)
-        n = len(pts)
-        if n == 0:
-            raise InputError("empty support")
-        return cls(pts, (Q(1, n),) * n)
+        return cls(tuple(values), tuple(Q(1, len(values)) for _ in values))
 
     @property
     def dim(self) -> int:
@@ -88,6 +85,8 @@ class SubspaceScheme:
             raise InputError("unknown latent tag %r" % (self.latent_tag,))
         if not self.directions:
             raise InputError("subspace scheme needs one direction set per user")
+        if any(V.rows != self.directions[0].rows for V in self.directions):
+            raise DimMismatch("direction matrices of unequal row count")
 
     @classmethod
     def from_columns(cls, per_user_columns: Sequence[Sequence[Sequence]],
@@ -95,8 +94,6 @@ class SubspaceScheme:
                      ambient_dim: int | None = None) -> "SubspaceScheme":
         """Build direction matrices from per-user lists of column vectors.
         ambient_dim is only needed when some user has no columns at all."""
-        if ambient_dim is None and not all(per_user_columns):
-            raise InputError("a user with no directions needs ambient_dim")
         return cls(tuple(RatMatrix.from_columns(cols, ambient_dim)
                          for cols in per_user_columns), latent_tag)
 
@@ -106,12 +103,16 @@ class MixtureScheme:
     alphas: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "alphas", tuple(map(_q, self.alphas)))
         if not self.alphas:
             raise InputError("mixture scheme needs one alpha per user")
+        for j, a in enumerate(self.alphas):
+            if not (0 <= a <= 1):
+                raise AlphaOutOfRange("alpha_%d = %s outside [0,1]" % (j + 1, a))
 
     @classmethod
     def of(cls, alphas: Sequence) -> "MixtureScheme":
-        return cls(tuple(Q(a) for a in alphas))
+        return cls(tuple(alphas))
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,7 @@ class SelfSimilarScheme:
     supports: tuple[FiniteDist, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ratio", _q(self.ratio))
         if not (0 < self.ratio < 1):
             raise RatioOutOfRange("contraction ratio must lie in (0,1), got %s"
                                   % (self.ratio,))
@@ -134,38 +136,27 @@ Scheme = Union[SubspaceScheme, MixtureScheme, SelfSimilarScheme]
 
 
 def validate_scheme(scheme: Scheme, H: ChannelMatrix) -> Scheme:
-    """Check a scheme's structural invariants against a channel; returns
-    the scheme unchanged on success."""
+    """Check that a scheme fits a channel (one user per transmitter, the
+    channel's ambient dimension, full-column-rank directions for the rank
+    rule); returns the scheme unchanged on success.  Each scheme type has
+    already checked its own entries when it was built."""
     if isinstance(scheme, SubspaceScheme):
-        if len(scheme.directions) != H.K:
-            raise UserCountMismatch("scheme has %d users, channel has %d"
-                                    % (len(scheme.directions), H.K))
+        per_user, dim = scheme.directions, scheme.directions[0].rows
+    elif isinstance(scheme, MixtureScheme):
+        per_user, dim = scheme.alphas, H.M  # mixtures take any M
+    elif isinstance(scheme, SelfSimilarScheme):
+        per_user, dim = scheme.supports, scheme.supports[0].dim
+    else:
+        raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
+    if len(per_user) != H.K:
+        raise UserCountMismatch("scheme has %d users, channel has %d"
+                                % (len(per_user), H.K))
+    if dim != H.M:
+        raise AmbientDimMismatch("scheme lives in dimension %d, channel has "
+                                 "M=%d" % (dim, H.M))
+    if isinstance(scheme, SubspaceScheme):
         for j, V in enumerate(scheme.directions):
-            if V.rows != H.M:
-                raise AmbientDimMismatch(
-                    "user %d directions live in dimension %d, channel has M=%d"
-                    % (j + 1, V.rows, H.M))
             if mat_rank(V) != V.cols:
                 raise RankDeficientDirections(
                     "user %d direction matrix has dependent columns" % (j + 1,))
-        return scheme
-    if isinstance(scheme, MixtureScheme):
-        if len(scheme.alphas) != H.K:
-            raise UserCountMismatch("scheme has %d users, channel has %d"
-                                    % (len(scheme.alphas), H.K))
-        for j, a in enumerate(scheme.alphas):
-            if not (0 <= a <= 1):
-                raise AlphaOutOfRange("alpha_%d = %s outside [0,1]" % (j + 1, a))
-        return scheme
-    if isinstance(scheme, SelfSimilarScheme):
-        if len(scheme.supports) != H.K:
-            raise UserCountMismatch("scheme has %d users, channel has %d"
-                                    % (len(scheme.supports), H.K))
-        for j, s in enumerate(scheme.supports):
-            if s.dim != H.M:
-                raise AmbientDimMismatch(
-                    "user %d support lives in dimension %d, channel has M=%d"
-                    % (j + 1, s.dim, H.M))
-        return scheme
-    raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
-
+    return scheme

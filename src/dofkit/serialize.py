@@ -197,9 +197,8 @@ def finite_dist_json(D: FiniteDist) -> dict:
 
 def parse_finite_dist(obj: Any) -> FiniteDist:
     try:
-        pts = tuple(tuple(parse_vector(pt))
-                    for pt in parse_list(obj["points"], "points"))
-        probs = tuple(parse_rat(p) for p in parse_list(obj["probs"], "probs"))
+        pts = [parse_vector(pt) for pt in parse_list(obj["points"], "points")]
+        probs = [parse_rat(p) for p in parse_list(obj["probs"], "probs")]
     except (KeyError, TypeError) as e:
         raise InputError("finite distribution needs points and probs: %s" % e)
     return FiniteDist(pts, probs)

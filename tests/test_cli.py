@@ -143,6 +143,12 @@ def test_construct_rejects_coarse_resolution(files, capsys):
                  "--N", "2", "--k", "4"]) == 1
 
 
+@pytest.mark.parametrize("k", ["-5", "0"])
+def test_construct_refuses_nonpositive_k_as_input_error(files, capsys, k):
+    assert main(["construct", "--channel", files["two.json"],
+                 "--N", "2", "--k", k]) == 2
+
+
 def test_search_command(files, capsys):
     code, out, _ = run(capsys, "search", "--channel", files["ex1.json"],
                        "--pool", files["pool.json"])

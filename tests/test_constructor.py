@@ -102,6 +102,14 @@ def test_grid_build_refuses_codeword_supports_over_the_cap():
             grid_build(TWO_USER, k, N)
 
 
+@pytest.mark.parametrize("k", [-5, 0])
+def test_grid_build_refuses_nonpositive_k_as_input_error(k):
+    # the params are built before k is compared with p, so a k that is
+    # no resolution at all is an input error, not a too-coarse grid
+    with pytest.raises(InputError):
+        grid_build(TWO_USER, k)
+
+
 def test_grid_build_requires_integers():
     H = ChannelMatrix.from_rows(2, 1, [[Q(1, 2), 1], [1, 1]])
     with pytest.raises(InputError):

@@ -126,6 +126,13 @@ def test_open_set_check():
         open_set_check(Q(1), [0, 1])
 
 
+def test_point_sets_of_unequal_dimension_are_refused():
+    with pytest.raises(DimMismatch):
+        minmax_dist([(0,), (1, 5)])
+    with pytest.raises(DimMismatch):
+        open_set_check(Q(1, 2), [(0, 0), (1,), (3, 9)])
+
+
 # ----------------------------------------------------------- exact entropy
 
 

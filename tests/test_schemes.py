@@ -4,10 +4,13 @@ from fractions import Fraction as Q
 import pytest
 
 from dofkit import (
+    ChannelMatrix,
     FiniteDist,
     MixtureScheme,
+    RatMatrix,
     SelfSimilarScheme,
     SubspaceScheme,
+    dof_eval,
     validate_scheme,
 )
 from dofkit.errors import (
@@ -97,3 +100,43 @@ def test_validate_scheme_against_channel():
     with pytest.raises(AmbientDimMismatch):
         # scalar supports cannot ride a two-dimensional channel
         validate_scheme(sym, H)
+
+
+# ------------------------------------------- entries checked when built
+
+
+def test_mixture_alphas_checked_when_built():
+    with pytest.raises(AlphaOutOfRange):
+        MixtureScheme((Q(2),))
+    with pytest.raises(AlphaOutOfRange):
+        MixtureScheme.of([-1])
+    assert MixtureScheme((0.5, "1/4")).alphas == (Q(1, 2), Q(1, 4))
+
+
+def test_finite_dist_reads_float_probabilities_exactly():
+    H = ChannelMatrix.from_rows(2, 1, [[1, 1], [1, -1]])
+    floats = FiniteDist(((0,), (1,)), (0.5, 0.5))
+    assert floats.probs == (Q(1, 2), Q(1, 2))
+    exact = FiniteDist.uniform([0, 1])
+    assert (dof_eval(H, SelfSimilarScheme(Q(1, 3), (floats, floats)))
+            == dof_eval(H, SelfSimilarScheme(Q(1, 3), (exact, exact))))
+    with pytest.raises(InputError):
+        # the float 1/3 is not a third: three of them do not sum to 1
+        FiniteDist(((0,), (1,), (2,)), (1 / 3,) * 3)
+
+
+def test_finite_dist_accepts_list_points():
+    D = FiniteDist([[0], [Q(1, 2)]], [Q(1, 2), Q(1, 2)])
+    assert D.points == ((Q(0),), (Q(1, 2),))
+    assert D == FiniteDist.uniform([0, Q(1, 2)])
+
+
+def test_subspace_scheme_refuses_directions_of_unequal_row_count():
+    with pytest.raises(DimMismatch):
+        SubspaceScheme((RatMatrix.from_rows([[1], [0]]),
+                        RatMatrix.from_rows([[1], [0], [0]])))
+
+
+def test_selfsimilar_ratio_read_as_fraction():
+    s = SelfSimilarScheme(0.5, (FiniteDist.uniform([0, 2]),))
+    assert isinstance(s.ratio, Q) and s.ratio == Q(1, 2)
