@@ -6,7 +6,6 @@ computed on integers over a common denominator inside."""
 
 from .construct import (
     ConstructionParams,
-    GridSet,
     clear_to_integers,
     constructed_dof,
     fold_codewords,

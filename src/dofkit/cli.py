@@ -132,7 +132,7 @@ def _cmd_construct(args) -> tuple[dict, list[str]]:
            "scheme": ser.scheme_json(scheme),
            "report": rep}
     pretty = ["k=%d p=%d N=%d grid size %d" % (params.k, params.p, params.N,
-                                               len(grid.values))]
+                                               len(grid))]
     pretty.extend(_pretty_report(rep))
     return out, pretty
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .dimension import (CONVOLVE_CAP, convolve_linear, minmax_dist,
@@ -36,7 +35,7 @@ from .errors import (
     SupportTooLarge,
     TooFewPoints,
 )
-from .linalg import ChannelMatrix, RatMatrix
+from .linalg import ChannelMatrix, RatMatrix, _over_lcm
 from .schemes import FiniteDist, SelfSimilarScheme
 
 Q = Fraction
@@ -72,38 +71,24 @@ class ConstructionParams:
         return Q(1, 2 ** (self.k - self.p))
 
 
-@dataclass(frozen=True)
-class GridSet:
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise InputError("empty grid")
-        if any(not (0 <= v <= 1) for v in self.values):
-            raise InputError("grid values must lie in [0,1]")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise InputError("grid values must be strictly increasing")
-
-
 def clear_to_integers(H: ChannelMatrix) -> ChannelMatrix:
     """Scale each transmitter's column block by the lcm of its entry
     denominators; the result has integer entries and identical dof."""
-    mults = [lcm(*(x.denominator for i in range(H.K)
-                   for x in H.block(i, j).entries)) for j in range(H.K)]
+    mults = [_over_lcm(x for i in range(H.K) for x in H.block(i, j).entries)[1]
+             for j in range(H.K)]
     return ChannelMatrix.from_blocks(
         [[H.block(i, j).scale(mults[j]) for j in range(H.K)]
          for i in range(H.K)])
 
 
 def grid_build(H: ChannelMatrix, k: int, N: int = 1
-               ) -> tuple[ConstructionParams, GridSet]:
+               ) -> tuple[ConstructionParams, tuple[Fraction, ...]]:
     """Smallest grid coarsening p with 2^{-p} <= 1/(8 K M H_max), then the
     dyadic grid 2^{-(k-p)} {0, 1, ..., 2^{k-p}}.  H must already have
     integer entries (see clear_to_integers).  A grid whose codeword
     support (2^{k-p}+1)^{MN} exceeds CONVOLVE_CAP, which uniform_codewords
     would refuse, is refused before any grid value is built."""
-    if any(x.denominator != 1 for row in H.blocks for b in row
-           for x in b.entries):
+    if _over_lcm(x for row in H.blocks for b in row for x in b.entries)[1] != 1:
         raise InputError("grid sizing needs integer entries; "
                          "clear denominators first")
     h_max = max(abs(x) for row in H.blocks for b in row for x in b.entries)
@@ -118,27 +103,24 @@ def grid_build(H: ChannelMatrix, k: int, N: int = 1
         raise SupportTooLarge("codeword support of (2^%d+1)^%d points exceeds "
                               "cap %d" % (k - p, H.M * N, CONVOLVE_CAP))
     step = params.grid_step
-    count = 2 ** (k - p)
-    grid = GridSet(tuple(t * step for t in range(count + 1)))
-    return params, grid
+    return params, tuple(t * step for t in range(2 ** (k - p) + 1))
 
 
-def uniform_codewords(grid: GridSet, K: int, M: int, N: int,
+def uniform_codewords(grid: Sequence, K: int, M: int, N: int,
                       cap: int = CONVOLVE_CAP) -> tuple[FiniteDist, ...]:
     """The default multi-letter input: i.i.d. uniform over the grid in
-    every one of the M*N codeword entries, identical across users.  The
-    fold is injective, so each receiver's full sumset convolves K supports
-    of n_points each; a product of n_points^K over `cap` is refused here,
-    before any codeword is built."""
-    n_points = len(grid.values) ** (M * N)
+    every one of the M*N codeword entries, identical across users (FiniteDist
+    refuses an empty or repeating grid).  The fold is injective, so each
+    receiver's full sumset convolves K supports of n_points each; a product
+    of n_points^K over `cap` is refused here, before any codeword is built."""
+    n_points = len(grid) ** (M * N)
     if n_points > cap:
         raise SupportTooLarge("codeword support of %d points exceeds cap %d"
                               % (n_points, cap))
     if n_points ** K > cap:
         raise SupportTooLarge("full sumset product of %d^%d points exceeds "
                               "cap %d" % (n_points, K, cap))
-    pts = tuple(itertools.product(grid.values, repeat=M * N))
-    dist = FiniteDist(pts, (Q(1, n_points),) * n_points)
+    dist = FiniteDist.uniform(tuple(itertools.product(grid, repeat=M * N)))
     return tuple(dist for _ in range(K))
 
 

@@ -10,9 +10,11 @@ Three evaluation paths, one per scheme family:
 The third path only certifies the formula under the sufficient condition;
 when it fails the answer may still be correct, but this module refuses to
 guess (OpenSetUnverified).  It takes and returns Fractions but computes on
-integers: convolve_linear folds points scaled by their common denominator
-with integer probability counts, and minmax_dist and open_set_check sweep
-the points' integer lattice (m/(m+M) does not change under scaling).
+integers, in the common-denominator form that linalg's _over_lcm and
+_lattice give: convolve_linear forms each term's images as integer dot
+products and folds them with integer probability counts, and minmax_dist
+and open_set_check sweep the points' integer lattice (m/(m+M) does not
+change under scaling).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
     SupportTooLarge,
     TooFewPoints,
 )
-from .linalg import RatMatrix, _vec, mat_rank
+from .linalg import RatMatrix, _lattice, _over_lcm, _vec, mat_rank
 from .schemes import FiniteDist
 
 Q = Fraction
@@ -119,16 +121,6 @@ def sum_dims(values: Sequence[DimValue]) -> DimValue:
     return DimValue.from_estimate(fsum(v.estimate for v in values), se)
 
 
-def _lattice(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
-    """Distinct points, sorted, as integers over their common denominator L."""
-    pts = [_vec(p) for p in points]
-    if len({len(p) for p in pts}) > 1:
-        raise DimMismatch("points of unequal dimension")
-    L = math.lcm(*(x.denominator for p in pts for x in p))
-    return sorted({tuple(x.numerator * (L // x.denominator) for x in p)
-                   for p in pts}), L
-
-
 def _sweep(pts: list[tuple[int, ...]]) -> tuple[int, int]:
     """Minimum and maximum pairwise l-infinity distance of sorted distinct
     integer points.  The maximum is the largest coordinate range.  The
@@ -149,8 +141,8 @@ def _sweep(pts: list[tuple[int, ...]]) -> tuple[int, int]:
 
 def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
     """Minimum and maximum pairwise l-infinity distance of a point set."""
-    pts, L = _lattice(points)
-    m, M = _sweep(pts)
+    pts, L = _lattice([_vec(p) for p in points])
+    m, M = _sweep(sorted(set(pts)))
     return Q(m, L), Q(M, L)
 
 
@@ -161,7 +153,7 @@ def open_set_check(r, points: Iterable) -> bool:
     r = Q(r)
     if not (0 < r < 1):
         raise RatioOutOfRange("ratio must lie in (0,1), got %s" % (r,))
-    pts, _ = _lattice(points)
+    pts = sorted(set(_lattice([_vec(p) for p in points])[0]))
     if len(pts) == 1:
         return True
     m, M = _sweep(pts)
@@ -170,17 +162,20 @@ def open_set_check(r, points: Iterable) -> bool:
 
 def entropy_finite(D: FiniteDist) -> float:
     """Shannon entropy in bits; fsum keeps the result exactly rounded and
-    independent of summation order."""
-    return -fsum(float(p) * math.log2(float(p)) for p in D.probs)
+    independent of summation order.  A probability that rounds to float 0
+    adds 0, which is its term rounded too: -p log2 p < 2^-1064 there."""
+    return -fsum(p * math.log2(p) for p in map(float, D.probs) if p)
 
 
 def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
                     cap: int = CONVOLVE_CAP) -> FiniteDist:
     """Exact distribution of sum_j A_j Z_j for independent Z_j ~ D_j, by a
     fold that adds each term's images to the points so far and merges
-    coinciding points.  The fold runs on integers: points over the lcm L of
-    every image's denominators, and each term's probabilities as counts
-    over their own lcm W_j, so the counts sum to prod_j W_j.  Fractions are
+    coinciding points.  The fold runs on integers.  A_j and the support of
+    D_j are each cleared once, to integers over L_A and L_D, so an image
+    A_j z is an integer dot product over L_A L_D; every image is scaled to
+    the lcm L of those products.  Each term's probabilities are counts over
+    their own lcm W_j, so the counts sum to prod_j W_j.  Fractions are
     built only for the result.  `cap` bounds the product of the support
     sizes before any work; the fold's work grows with the sumset instead."""
     if not terms:
@@ -192,26 +187,21 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
         if A.cols != D.dim:
             raise DimMismatch("matrix takes dimension %d, support has %d"
                               % (A.cols, D.dim))
-    size = 1
-    for _, D in terms:
-        size *= len(D.points)
+    size = math.prod(len(D.points) for _, D in terms)
     if size > cap:
         raise SupportTooLarge("product support of %d points exceeds cap %d"
                               % (size, cap))
-    images = [[tuple(sum((A.at(i, c) * z[c] for c in range(A.cols)), Q(0))
-                     for i in range(out_dim)) for z in D.points]
-              for A, D in terms]
-    L = math.lcm(*(x.denominator for ys in images for y in ys for x in y))
+    cleared = [(_lattice(list(map(A.row, range(out_dim)))),
+                _lattice(D.points), _over_lcm(D.probs)) for A, D in terms]
+    L = math.lcm(*(LA * LD for (_, LA), (_, LD), _ in cleared))
     acc: dict[tuple[int, ...], int] = {(0,) * out_dim: 1}
     total = 1
-    for ys, (_, D) in zip(images, terms):
-        W = math.lcm(*(p.denominator for p in D.probs))
-        counts = [(tuple(x.numerator * (L // x.denominator) for x in y),
-                   p.numerator * (W // p.denominator))
-                  for y, p in zip(ys, D.probs)]
+    for (rows, LA), (zs, LD), (counts, W) in cleared:
+        s = L // (LA * LD)
+        images = [tuple(s * sum(map(mul, row, z)) for row in rows) for z in zs]
         merged: dict[tuple[int, ...], int] = {}
         for y, cy in acc.items():
-            for image, cz in counts:
+            for image, cz in zip(images, counts):
                 point = tuple(map(add, y, image))
                 merged[point] = merged.get(point, 0) + cy * cz
         acc = merged

@@ -35,7 +35,7 @@ import numpy as np
 from .dimension import DimValue, minmax_dist
 from .engine import DofReport, assemble_report
 from .errors import InputError, InvariantViolated
-from .linalg import ChannelMatrix
+from .linalg import ChannelMatrix, _over_lcm
 from .schemes import (
     MixtureScheme,
     Scheme,
@@ -87,19 +87,26 @@ def _generator(seed: int, user: int, batch: int) -> np.random.Generator:
 def ifs_truncation_depth(scheme: SelfSimilarScheme, k2: int) -> int:
     """Smallest D with r^D M(W) / (1-r) < 2^{-(k2+2)}: the discarded tail
     then cannot move any sample across a k2-cell boundary by more than a
-    quarter cell."""
+    quarter cell.  D is estimated from float logarithms and confirmed
+    exactly at D and D-1.  An estimate above _DRAW_LIMIT is refused before
+    any exact power: a batch holds at least D terms, so no draw could."""
     r = scheme.ratio
-    spans = []
-    for s in scheme.supports:
-        if len(s.points) >= 2:
-            spans.append(minmax_dist(s.points)[1])
+    spans = [minmax_dist(s.points)[1] for s in scheme.supports
+             if len(s.points) >= 2]
     if not spans:
         return 1  # every support is an atom; the series is constant
-    span = max(spans)
-    threshold = Q(1, 2 ** (k2 + 2))
-    D = 1
-    while r ** D * span / (1 - r) >= threshold:
+    goal = Q(1, 2 ** (k2 + 2)) * (1 - r) / max(spans)  # want r^D < goal
+    (g, n), L = _over_lcm((goal, r))
+    log_r = math.log2(n) - math.log2(L)  # 0 only for an r too near 1
+    est = (math.log2(g) - math.log2(L)) / log_r if log_r < 0 else math.inf
+    if est >= _DRAW_LIMIT:
+        raise InputError("self-similar truncation depth of about %.3g terms "
+                         "exceeds the draw limit %d" % (est, _DRAW_LIMIT))
+    D = max(1, math.floor(est) + 1)
+    while r ** D >= goal:
         D += 1
+    while D > 1 and r ** (D - 1) < goal:
+        D -= 1
     return D
 
 

@@ -8,6 +8,10 @@ Intermediate entries stay minors of the input, which keeps bit growth
 polynomial instead of the exponential blowup of naive Fraction
 elimination, and the exact RREF is the result divided by one integer.
 
+This module alone reads numerators and denominators: every exact path
+that computes on integers takes them from _over_lcm (rationals over their
+least common denominator) or _lattice (points over one denominator).
+
 Matrices are assembled from pieces by two builders only:
 RatMatrix.from_columns (column j is columns[j]; a scalar is a 1-vector)
 and RatMatrix.from_blocks (a grid of blocks).  Every caller that has
@@ -162,6 +166,26 @@ class RatMatrix:
         return [[float(x) for x in self.row(i)] for i in range(self.rows)]
 
 
+def _over_lcm(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals xs as integers over their least common denominator
+    L: xs[i] == ints[i] / L.  L is 1 exactly when every x is an integer."""
+    xs = tuple(xs)
+    dens = [x.denominator for x in xs]
+    L = lcm(*set(dens))
+    return [x.numerator * (L // d) for x, d in zip(xs, dens)], L
+
+
+def _lattice(points: Sequence[Sequence[Fraction]]
+             ) -> tuple[list[tuple[int, ...]], int]:
+    """Points of one dimension as integer tuples over their common
+    denominator L, in the given order (repeats kept)."""
+    m = len(points[0]) if points else 0
+    if any(len(p) != m for p in points):
+        raise DimMismatch("points of unequal dimension")
+    ints, L = _over_lcm(x for p in points for x in p)
+    return [tuple(ints[i * m:(i + 1) * m]) for i in range(len(points))], L
+
+
 def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968, with the rows
     above each pivot cleared too).
@@ -185,10 +209,9 @@ def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]
     m = []
     scale = 1
     for i in range(A.rows):
-        row = A.row(i)
-        mult = lcm(*(x.denominator for x in row))
+        row, mult = _over_lcm(A.row(i))
         scale *= mult
-        m.append([x.numerator * (mult // x.denominator) for x in row])
+        m.append(row)
     pivots: list[int] = []
     prev = sign = 1
     for c in range(A.cols):

@@ -12,7 +12,6 @@ Families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -26,7 +25,8 @@ from .errors import (
     RatioOutOfRange,
     UserCountMismatch,
 )
-from .linalg import ChannelMatrix, RatMatrix, _q, _vec, mat_rank
+from .linalg import (ChannelMatrix, RatMatrix, _lattice, _over_lcm, _q,
+                     _vec, mat_rank)
 
 Q = Fraction
 
@@ -35,7 +35,8 @@ LATENT_TAGS = ("uniform01", "gaussian")
 
 @dataclass(frozen=True)
 class FiniteDist:
-    """Finite distribution on rational vectors; probs sum to exactly 1."""
+    """Finite distribution on rational vectors; probs sum to exactly 1.
+    Both are checked on integers over their common denominators."""
 
     points: tuple[tuple[Fraction, ...], ...]
     probs: tuple[Fraction, ...]
@@ -47,15 +48,12 @@ class FiniteDist:
             raise InputError("empty support")
         if len(self.points) != len(self.probs):
             raise InputError("points/probs length mismatch")
-        m = len(self.points[0])
-        if any(len(p) != m for p in self.points):
-            raise DimMismatch("support points of unequal dimension")
-        if len(set(self.points)) != len(self.points):
+        if len(set(_lattice(self.points)[0])) != len(self.points):
             raise InputError("support points must be pairwise distinct")
-        if any(p.numerator <= 0 for p in self.probs):
+        counts, W = _over_lcm(self.probs)
+        if any(c <= 0 for c in counts):
             raise InputError("probabilities must be positive")
-        W = math.lcm(*(p.denominator for p in self.probs))
-        if sum(p.numerator * (W // p.denominator) for p in self.probs) != W:
+        if sum(counts) != W:
             raise InputError("probabilities must sum to exactly 1")
 
     @classmethod

@@ -9,9 +9,9 @@ exit code 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from .construct import ConstructionParams, GridSet
+from .construct import ConstructionParams
 from .dimension import DimValue
 from .engine import (
     DofReport,
@@ -341,8 +341,8 @@ def strictness_json(claim: StrictnessClaim) -> dict:
             "symmetry_based": claim.symmetry_based}
 
 
-def params_json(params: ConstructionParams, grid: GridSet) -> dict:
+def params_json(params: ConstructionParams, grid: Sequence[Fraction]) -> dict:
     return {"k": params.k, "p": params.p, "N": params.N,
             "H_max": rat_str(params.H_max), "r": rat_str(params.r),
-            "grid": [rat_str(v) for v in grid.values]}
+            "grid": [rat_str(v) for v in grid]}
 

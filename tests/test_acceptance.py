@@ -41,7 +41,6 @@ from dofkit import (
 )
 from dofkit.construct import (
     ConstructionParams,
-    GridSet,
     constructed_dof,
     fold_codewords,
     lift_selfsimilar,
@@ -174,7 +173,7 @@ def test_criterion_08_mixture_monte_carlo():
 def test_criterion_09_constructor_exactness():
     H = ChannelMatrix.from_rows(2, 1, [[1, 1], [1, -1]])
     params = ConstructionParams(k=4, p=3, N=2, H_max=Q(1))
-    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    grid = (Q(0), Q(1, 2), Q(1))
     codes = uniform_codewords(grid, K=2, M=1, N=2)
     folded = fold_codewords(codes, params)
     scheme = lift_selfsimilar(folded, params)
@@ -184,7 +183,7 @@ def test_criterion_09_constructor_exactness():
     # {a + b/16}; receiver sumsets are enumerated over all <=81 value
     # pairs and their entropy ratio H/8 is computed with the same
     # exactly-rounded float summation.
-    W = sorted({a + b * Q(1, 16) for a in grid.values for b in grid.values})
+    W = sorted({a + b * Q(1, 16) for a in grid for b in grid})
     assert len(W) == 9
     ratio = Q(1, 2 ** 8)
 

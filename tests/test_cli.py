@@ -310,6 +310,38 @@ def test_estimate_refuses_over_deep_self_similar_draw(files, capsys):
     assert "depth" in err
 
 
+def test_estimate_refuses_derived_depth_past_the_draw_limit(files, capsys,
+                                                            tmp_path):
+    # r = 4095/4096 at k2 = 8 needs depth 62454; refused, not left to hang
+    near_one = tmp_path / "near_one.json"
+    near_one.write_text(json.dumps(
+        {"family": "selfsimilar", "ratio": "4095/4096",
+         "supports": [{"points": [["0"], ["1"]], "probs": ["1/2", "1/2"]}] * 2}))
+    code, out, err = run(capsys, "estimate", "--channel", files["two.json"],
+                         "--scheme", str(near_one), "--k1", "4", "--k2", "8")
+    assert code == 2 and out == ""
+    assert "depth 62454" in err
+
+
+def test_eval_self_similar_with_probability_below_float_range(capsys,
+                                                             tmp_path):
+    # a support probability of 2^-1100 rounds to float 0; its entropy term
+    # is 0, not a math domain error
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(
+        {"family": "selfsimilar", "ratio": "1/4",
+         "supports": [{"points": [["0"], ["1"]],
+                       "probs": ["%d/%d" % (2 ** 1100 - 1, 2 ** 1100),
+                                 "1/%d" % 2 ** 1100]}] * 2}))
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps(channel_json(
+        ChannelMatrix.from_rows(2, 1, [[1, 2], [2, 1]]))))
+    code, out, err = run(capsys, "eval", "--channel", str(chan),
+                         "--scheme", str(tiny))
+    assert code == 0 and err == ""
+    assert json.loads(out)["method"] == "entropy-ratio"
+
+
 def test_exit_code_on_missing_file(capsys):
     assert main(["eval", "--channel", "/nonexistent/ch.json",
                  "--scheme", "/nonexistent/s.json"]) == 2

@@ -11,7 +11,6 @@ from dofkit import (
     ChannelMatrix,
     ConstructionParams,
     FiniteDist,
-    GridSet,
     RatMatrix,
     SelfSimilarScheme,
     clear_to_integers,
@@ -57,16 +56,6 @@ def test_params_validation():
         ConstructionParams(k=4, p=0, N=1, H_max=1)
 
 
-def test_grid_set_validation():
-    GridSet((Q(0), Q(1, 2), Q(1)))
-    with pytest.raises(InputError):
-        GridSet(())
-    with pytest.raises(InputError):
-        GridSet((Q(0), Q(2)))  # outside the unit interval
-    with pytest.raises(InputError):
-        GridSet((Q(1, 2), Q(1, 2)))  # not strictly increasing
-
-
 def test_clear_to_integers():
     H = ChannelMatrix.from_rows(2, 1, [[Q(1, 2), Q(2, 3)], [1, Q(1, 6)]])
     Hi = clear_to_integers(H)
@@ -86,7 +75,7 @@ def test_grid_build_resolution():
     # 8*K*M*H_max = 16 for the two-user scalar channel: p = 4
     params, grid = grid_build(TWO_USER, 6)
     assert params.p == 4
-    assert grid.values == (Q(0), Q(1, 4), Q(1, 2), Q(3, 4), Q(1))
+    assert grid == (Q(0), Q(1, 4), Q(1, 2), Q(3, 4), Q(1))
     H2 = ChannelMatrix.from_rows(2, 1, [[2, 1], [1, -2]])
     assert grid_build(H2, 7)[0].p == 5  # need = 32
     with pytest.raises(ResolutionTooCoarse):
@@ -95,8 +84,8 @@ def test_grid_build_resolution():
 
 def test_grid_build_refuses_codeword_supports_over_the_cap():
     # TWO_USER has p = 4 and M = 1: (2^(k-4)+1)^N codeword points, cap 10^6
-    assert len(grid_build(TWO_USER, 5, 12)[1].values) == 3  # 3^12 = 531441
-    assert len(grid_build(TWO_USER, 13, 2)[1].values) == 513  # 513^2 = 263169
+    assert len(grid_build(TWO_USER, 5, 12)[1]) == 3  # 3^12 = 531441
+    assert len(grid_build(TWO_USER, 13, 2)[1]) == 513  # 513^2 = 263169
     for k, N in ((5, 13), (14, 2), (10 ** 9, 1)):  # 3^13, 1025^2, 2^huge
         with pytest.raises(SupportTooLarge):
             grid_build(TWO_USER, k, N)
@@ -137,7 +126,7 @@ def test_grid_spacing_dominates_channel_spread():
 
 
 def test_uniform_codewords():
-    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    grid = (Q(0), Q(1, 2), Q(1))
     dists = uniform_codewords(grid, 2, 1, 2)
     assert len(dists) == 2
     for D in dists:
@@ -146,21 +135,24 @@ def test_uniform_codewords():
         assert D.dim == 2
     with pytest.raises(SupportTooLarge):
         uniform_codewords(grid, 2, 2, 8, cap=1000)
+    for bad in ((), (Q(0), Q(1, 2), Q(0))):  # empty, repeating
+        with pytest.raises(InputError):
+            uniform_codewords(bad, 2, 1, 1)
 
 
 def test_fold_codewords():
     params = ConstructionParams(k=4, p=3, N=2, H_max=1)
-    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    grid = (Q(0), Q(1, 2), Q(1))
     folded = fold_codewords(uniform_codewords(grid, 2, 1, 2), params)
     assert [len(F.points) for F in folded] == [9, 9]  # injective fold
     vals = {pt[0] for pt in folded[0].points}
-    assert vals == {a + b * Q(1, 16) for a in grid.values for b in grid.values}
+    assert vals == {a + b * Q(1, 16) for a in grid for b in grid}
 
 
 def test_uniform_codewords_refuses_full_sumset_product_up_front():
     # 9 codeword points fit the cap, but each receiver's full sumset would
     # convolve 9^2 = 81 > 50 points: refused before any codeword is built
-    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    grid = (Q(0), Q(1, 2), Q(1))
     assert len(uniform_codewords(grid, 2, 1, 2, cap=81)[0].points) == 9
     with pytest.raises(SupportTooLarge):
         uniform_codewords(grid, 2, 1, 2, cap=50)
@@ -184,13 +176,13 @@ def test_fold_codewords_matches_fraction_reference():
     rng = random.Random(21)
     for _ in range(120):
         N, M, s = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
-        grid = GridSet(tuple(sorted({Q(rng.randint(0, 2 ** s), 2 ** s)
-                                     for _ in range(rng.randint(2, 4))})))
+        grid = tuple(sorted({Q(rng.randint(0, 2 ** s), 2 ** s)
+                             for _ in range(rng.randint(2, 4))}))
         params = ConstructionParams(k=s + rng.randint(1, 3), p=1, N=N, H_max=1)
         if rng.random() < 0.5:
             dists = uniform_codewords(grid, 1, M, N)
         else:  # hand-built codewords with non-uniform probabilities
-            pts = sorted({tuple(rng.choice(grid.values) for _ in range(M * N))
+            pts = sorted({tuple(rng.choice(grid) for _ in range(M * N))
                           for _ in range(rng.randint(1, 12))})
             weights = [rng.randint(1, 9) for _ in pts]
             dists = (FiniteDist(tuple(pts), tuple(Q(w, sum(weights))
@@ -202,7 +194,7 @@ def test_fold_codewords_matches_fraction_reference():
 
 def test_fold_refuses_overlapping_grid():
     params = ConstructionParams(k=2, p=1, N=1, H_max=1)
-    tight = GridSet((Q(0), Q(1, 64), Q(1)))  # min gap far below 1/4
+    tight = (Q(0), Q(1, 64), Q(1))  # min gap far below 1/4
     cw = uniform_codewords(tight, 2, 1, 1)
     with pytest.raises(OpenSetUnverified):
         fold_codewords(cw, params)
@@ -219,7 +211,7 @@ def test_lift_ratio():
 
 def test_constructed_dof_frozen_instance():
     params = ConstructionParams(k=4, p=3, N=2, H_max=1)
-    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    grid = (Q(0), Q(1, 2), Q(1))
     _, _, _, rep = build_chain(TWO_USER, params=params, grid=grid)
     assert rep.method == "entropy-ratio"
     for t in rep.per_receiver:
@@ -237,7 +229,7 @@ def test_constructed_dof_frozen_two_dimensional_instance():
     # ex1 (K=3, M=2) at k=8, N=1: p=7, a grid of 3 per coordinate
     H, _ = ex1()
     params, grid, _, rep = build_chain(H, k=8)
-    assert (params.p, len(grid.values)) == (7, 3)
+    assert (params.p, len(grid)) == (7, 3)
     bits = [(t.full_dim.entropy_bits.hex(), t.interference_dim.entropy_bits.hex())
             for t in rep.per_receiver]
     # brute-force product sumsets with all-pairs open-set distances
@@ -251,7 +243,7 @@ def test_constructed_dof_frozen_two_dimensional_instance():
 
 def test_constructed_dof_checks_ratio():
     params = ConstructionParams(k=4, p=3, N=2, H_max=1)
-    grid = GridSet((Q(0), Q(1, 2), Q(1)))
+    grid = (Q(0), Q(1, 2), Q(1))
     folded = fold_codewords(uniform_codewords(grid, 2, 1, 2), params)
     wrong = SelfSimilarScheme(Q(1, 17), tuple(folded))
     with pytest.raises(InputError):

@@ -145,6 +145,21 @@ def test_entropy_finite_exact_dyadic():
     assert entropy_finite(skew) == 1.5
 
 
+def test_entropy_finite_probability_below_float_range_adds_zero():
+    # 2^-1100 rounds to float 0; its true term, about 2^-1090 bits, rounds
+    # to 0 as well, where math.log2 would refuse the float 0
+    tiny = Q(1, 2 ** 1100)
+    atom = FiniteDist.from_pairs([((0,), 1 - tiny), ((1,), tiny)])
+    assert entropy_finite(atom) == 0.0
+    coin = FiniteDist.from_pairs([((0,), Q(1, 2)), ((1,), Q(1, 2) - tiny),
+                                  ((2,), tiny)])
+    assert entropy_finite(coin) == 1.0
+    # the smallest subnormal probability still counts
+    sub = Q(1, 2 ** 1074)
+    edge = FiniteDist.from_pairs([((0,), 1 - sub), ((1,), sub)])
+    assert entropy_finite(edge) == 1074 * 2.0 ** -1074
+
+
 def test_entropy_finite_order_independent():
     pairs = [((i,), Q(1, 10) if i < 5 else Q(1, 10)) for i in range(10)]
     rng = random.Random(4)
@@ -214,11 +229,11 @@ def test_convolve_linear_matches_product_enumeration(seed):
     M = rng.randint(1, 3)
     terms = []
     for _ in range(rng.randint(1, 3)):
-        dim = rng.randint(1, 3)
+        dim = rng.randint(0, 3)  # 0: a zero-column A on the one empty point
         A = RatMatrix.from_rows([[Q(rng.randint(-3, 3), rng.randint(1, 3))
                                   for _ in range(dim)] for _ in range(M)])
-        pts = {tuple(rng.randint(-2, 2) for _ in range(dim))
-               for _ in range(rng.randint(1, 4))}
+        pts = {tuple(Q(rng.randint(-4, 4), rng.randint(1, 4))
+                     for _ in range(dim)) for _ in range(rng.randint(1, 4))}
         weights = [rng.randint(1, 3) for _ in pts]
         D = FiniteDist.from_pairs([(p, Q(w, sum(weights)))
                                    for p, w in zip(pts, weights)])

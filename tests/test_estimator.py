@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import time
 import warnings
 from fractions import Fraction as Q
 
@@ -19,6 +21,7 @@ from dofkit import (
     cyclic_delay_channel,
     estimate_dim,
     estimate_dof,
+    minmax_dist,
     quantized_entropy,
     sample_scheme,
 )
@@ -86,6 +89,44 @@ def test_ifs_truncation_depth():
     assert tail(D) < Q(1, 2 ** 14) <= tail(D - 1)
     flat = SelfSimilarScheme(Q(1, 3), (FiniteDist.uniform([5]),))
     assert ifs_truncation_depth(flat, k2=12) == 1  # single atom: no tail
+
+
+def _depth_by_steps(scheme, k2):
+    # the plain definition: step D up until the tail is below a quarter cell
+    r = scheme.ratio
+    span = max(minmax_dist(s.points)[1] for s in scheme.supports)
+    D = 1
+    while r ** D * span / (1 - r) >= Q(1, 2 ** (k2 + 2)):
+        D += 1
+    return D
+
+
+def test_ifs_truncation_depth_matches_stepping_on_random_ratios():
+    rng = random.Random(11)
+    for _ in range(300):
+        q = rng.randint(2, 40)
+        supports = tuple(FiniteDist.uniform(sorted(
+            {Q(0)} | {Q(rng.randint(-30, 30) or 1, rng.randint(1, 9))
+                      for _ in range(rng.randint(1, 3))})) for _ in range(2))
+        scheme = SelfSimilarScheme(Q(rng.randint(1, q - 1), q), supports)
+        k2 = rng.randint(1, 16)
+        assert ifs_truncation_depth(scheme, k2) == _depth_by_steps(scheme, k2)
+
+
+def test_ifs_truncation_depth_near_one_is_fast_or_refused():
+    near_one = SelfSimilarScheme(Q(4095, 4096), (FiniteDist.uniform([0, 1]),))
+    start = time.perf_counter()
+    assert ifs_truncation_depth(near_one, k2=8) == 62454
+    assert time.perf_counter() - start < 5
+    # a batch holds at least D terms, so a depth over the limit is refused
+    # before any exact power is taken
+    for r in (1 - Q(1, 2 ** 40), 1 - Q(1, 2 ** 1100)):
+        with pytest.raises(InputError, match="draw limit"):
+            ifs_truncation_depth(SelfSimilarScheme(
+                r, (FiniteDist.uniform([0, 1]),)), k2=8)
+    # a ratio below the float range needs one term
+    tiny = SelfSimilarScheme(Q(1, 2 ** 1100), (FiniteDist.uniform([0, 1]),))
+    assert ifs_truncation_depth(tiny, k2=8) == 1
 
 
 def test_sampling_refuses_over_deep_self_similar_draws():

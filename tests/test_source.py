@@ -17,3 +17,16 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements in src/dofkit: %s" % found
+
+
+def test_only_linalg_reads_numerators_and_denominators():
+    # one module decides how rationals become integers over a common
+    # denominator (linalg._over_lcm and linalg._lattice); the rest use it
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("numerator", "denominator")
+    ]
+    assert not found, "numerator/denominator outside linalg.py: %s" % found
