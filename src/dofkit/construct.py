@@ -140,7 +140,7 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
             raise InputError("user %d codewords have %d entries, not a "
                              "multiple of N=%d" % (u + 1, dist.dim, N))
         M = dist.dim // N
-        values = {x for pt in dist.points for x in pt}
+        values = {x for pt in dist.lattice for x in pt}
         if not open_set_check(r, values):
             raise OpenSetUnverified(
                 "user %d: folding injectivity not certified for r=%s"
@@ -148,7 +148,7 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
         F = RatMatrix.hstack([RatMatrix.identity(M).scale(r ** n)
                               for n in range(N)])
         folded = convolve_linear([(F, dist)])
-        if len(folded.points) != len(dist.points):  # certified above
+        if len(folded.lattice) != len(dist.lattice):  # certified above
             raise InvariantViolated("user %d: folding is not injective"
                                     % (u + 1,))
         out.append(folded)

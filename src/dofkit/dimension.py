@@ -9,12 +9,13 @@ Three evaluation paths, one per scheme family:
 
 The third path only certifies the formula under the sufficient condition;
 when it fails the answer may still be correct, but this module refuses to
-guess (OpenSetUnverified).  It takes and returns Fractions but computes on
-integers, in the common-denominator form that linalg's _over_lcm and
-_lattice give: convolve_linear forms each term's images as integer dot
-products and folds them with integer probability counts, and minmax_dist
-and open_set_check sweep the points' integer lattice (m/(m+M) does not
-change under scaling).
+guess (OpenSetUnverified).  It computes on integers: a FiniteDist is
+stored as integer points over L with integer counts over W.
+convolve_linear forms each term's images as integer dot products, folds
+them with the counts and returns that form; open_set_check sweeps the
+sumset's lattice (m/(m+M) does not change under scaling), and
+entropy_finite takes p = c / W.  Other point sets are cleared to
+integers by linalg's _lattice first.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     SupportTooLarge,
     TooFewPoints,
 )
-from .linalg import RatMatrix, _lattice, _over_lcm, _vec, mat_rank
+from .linalg import RatMatrix, _lattice, _vec, mat_rank
 from .schemes import FiniteDist
 
 Q = Fraction
@@ -139,21 +140,31 @@ def _sweep(pts: list[tuple[int, ...]]) -> tuple[int, int]:
     return m, M
 
 
+def _distinct(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
+    """The distinct points, sorted, as integer tuples over their common
+    denominator L.  Integer tuples (a FiniteDist's lattice) pass as they
+    are; other points are read as rationals first."""
+    pts, L = _lattice([p if type(p) is tuple and all(type(x) is int for x in p)
+                       else _vec(p) for p in points])
+    return sorted(set(pts)), L
+
+
 def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
     """Minimum and maximum pairwise l-infinity distance of a point set."""
-    pts, L = _lattice([_vec(p) for p in points])
-    m, M = _sweep(sorted(set(pts)))
+    pts, L = _distinct(points)
+    m, M = _sweep(pts)
     return Q(m, L), Q(M, L)
 
 
 def open_set_check(r, points: Iterable) -> bool:
     """Sufficient condition r <= m/(m+M) for the contraction images of the
     point set to stay disjoint.  Single-point sets pass trivially.  The
-    ratio is scale-free, so it is taken on the integer lattice."""
+    ratio is scale-free, so it is taken on the integer lattice, and a
+    FiniteDist's lattice may be passed for its points."""
     r = Q(r)
     if not (0 < r < 1):
         raise RatioOutOfRange("ratio must lie in (0,1), got %s" % (r,))
-    pts = sorted(set(_lattice([_vec(p) for p in points])[0]))
+    pts = _distinct(points)[0]
     if len(pts) == 1:
         return True
     m, M = _sweep(pts)
@@ -163,21 +174,22 @@ def open_set_check(r, points: Iterable) -> bool:
 def entropy_finite(D: FiniteDist) -> float:
     """Shannon entropy in bits; fsum keeps the result exactly rounded and
     independent of summation order.  A probability that rounds to float 0
-    adds 0, which is its term rounded too: -p log2 p < 2^-1064 there."""
-    return -fsum(p * math.log2(p) for p in map(float, D.probs) if p)
+    adds 0, which is its term rounded too: -p log2 p < 2^-1064 there.
+    p = c / W is int division, rounded once like float(Fraction(c, W))."""
+    return -fsum(p * math.log2(p) for p in (c / D.W for c in D.counts) if p)
 
 
 def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
                     cap: int = CONVOLVE_CAP) -> FiniteDist:
     """Exact distribution of sum_j A_j Z_j for independent Z_j ~ D_j, by a
     fold that adds each term's images to the points so far and merges
-    coinciding points.  The fold runs on integers.  A_j and the support of
-    D_j are each cleared once, to integers over L_A and L_D, so an image
-    A_j z is an integer dot product over L_A L_D; every image is scaled to
-    the lcm L of those products.  Each term's probabilities are counts over
-    their own lcm W_j, so the counts sum to prod_j W_j.  Fractions are
-    built only for the result.  `cap` bounds the product of the support
-    sizes before any work; the fold's work grows with the sumset instead."""
+    coinciding points.  The fold runs on integers.  A_j is cleared once to
+    integers over L_A, and D_j is stored over L_D with counts over W_j, so
+    an image A_j z is an integer dot product over L_A L_D; every image is
+    scaled to the lcm L of those products, and the counts sum to
+    prod_j W_j.  The result is that lattice form; no Fraction is built.
+    `cap` bounds the product of the support sizes before any work; the
+    fold's work grows with the sumset instead."""
     if not terms:
         raise InputError("convolution of no terms")
     out_dim = terms[0][0].rows
@@ -187,28 +199,27 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
         if A.cols != D.dim:
             raise DimMismatch("matrix takes dimension %d, support has %d"
                               % (A.cols, D.dim))
-    size = math.prod(len(D.points) for _, D in terms)
+    size = math.prod(len(D.lattice) for _, D in terms)
     if size > cap:
         raise SupportTooLarge("product support of %d points exceeds cap %d"
                               % (size, cap))
-    cleared = [(_lattice(list(map(A.row, range(out_dim)))),
-                _lattice(D.points), _over_lcm(D.probs)) for A, D in terms]
-    L = math.lcm(*(LA * LD for (_, LA), (_, LD), _ in cleared))
+    rows = [_lattice(list(map(A.row, range(out_dim)))) for A, _ in terms]
+    L = math.lcm(*(LA * D.L for (_, LA), (_, D) in zip(rows, terms)))
     acc: dict[tuple[int, ...], int] = {(0,) * out_dim: 1}
     total = 1
-    for (rows, LA), (zs, LD), (counts, W) in cleared:
-        s = L // (LA * LD)
-        images = [tuple(s * sum(map(mul, row, z)) for row in rows) for z in zs]
+    for (rows_A, LA), (_, D) in zip(rows, terms):
+        s = L // (LA * D.L)
+        images = [tuple(s * sum(map(mul, row, z)) for row in rows_A)
+                  for z in D.lattice]
         merged: dict[tuple[int, ...], int] = {}
         for y, cy in acc.items():
-            for image, cz in zip(images, counts):
+            for image, cz in zip(images, D.counts):
                 point = tuple(map(add, y, image))
                 merged[point] = merged.get(point, 0) + cy * cz
         acc = merged
-        total *= W
+        total *= D.W
     pts = sorted(acc)
-    return FiniteDist(tuple(tuple(Q(x, L) for x in p) for p in pts),
-                      tuple(Q(acc[p], total) for p in pts))
+    return FiniteDist.on_lattice(pts, L, [acc[p] for p in pts], total)
 
 
 def dim_subspace_sum(terms: Sequence[RatMatrix]) -> int:
@@ -246,7 +257,7 @@ def dim_selfsimilar(r, D: FiniteDist) -> DimValue:
     """H(D)/log2(1/r), certified only under the sufficient contraction
     condition; refuses (rather than guesses) when the check fails."""
     r = Q(r)
-    if not open_set_check(r, D.points):
+    if not open_set_check(r, D.lattice):
         raise OpenSetUnverified(
             "cannot certify r = %s against the support's distance ratio" % (r,))
     return DimValue.from_entropy_ratio(entropy_finite(D), log2_inv_ratio(r))

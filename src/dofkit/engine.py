@@ -185,7 +185,7 @@ def dof_eval(H: ChannelMatrix, scheme: Scheme) -> DofReport:
             for name, users in (("full", range(K)), ("interference", others)):
                 dist = convolve_linear(
                     [(H.block(i, j), scheme.supports[j]) for j in users])
-                if not open_set_check(r, dist.points):
+                if not open_set_check(r, dist.lattice):
                     raise OpenSetUnverified(
                         "receiver %d %s sumset fails the contraction check"
                         % (i + 1, name))

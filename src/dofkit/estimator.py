@@ -84,25 +84,31 @@ def _generator(seed: int, user: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def ifs_truncation_depth(scheme: SelfSimilarScheme, k2: int) -> int:
+def ifs_truncation_depth(scheme: SelfSimilarScheme, k2: int,
+                         width: int = 1) -> int:
     """Smallest D with r^D M(W) / (1-r) < 2^{-(k2+2)}: the discarded tail
     then cannot move any sample across a k2-cell boundary by more than a
     quarter cell.  D is estimated from float logarithms and confirmed
-    exactly at D and D-1.  An estimate above _DRAW_LIMIT is refused before
-    any exact power: a batch holds at least D terms, so no draw could."""
+    exactly at D and D-1.  A batch draws `width` series terms per unit of
+    depth (its samples times M), so a D whose draw exceeds _DRAW_LIMIT
+    even one step below the estimate is refused before any exact power,
+    which near D = 10^6 alone takes seconds."""
     r = scheme.ratio
-    spans = [minmax_dist(s.points)[1] for s in scheme.supports
-             if len(s.points) >= 2]
+    spans = [minmax_dist(s.lattice)[1] / s.L for s in scheme.supports
+             if len(s.lattice) >= 2]
     if not spans:
         return 1  # every support is an atom; the series is constant
     goal = Q(1, 2 ** (k2 + 2)) * (1 - r) / max(spans)  # want r^D < goal
     (g, n), L = _over_lcm((goal, r))
-    log_r = math.log2(n) - math.log2(L)  # 0 only for an r too near 1
-    est = (math.log2(g) - math.log2(L)) / log_r if log_r < 0 else math.inf
-    if est >= _DRAW_LIMIT:
-        raise InputError("self-similar truncation depth of about %.3g terms "
-                         "exceeds the draw limit %d" % (est, _DRAW_LIMIT))
-    D = max(1, math.floor(est) + 1)
+    log_r = math.log2(n) - math.log2(L)
+    if log_r >= 0:
+        raise InputError("contraction ratio too near 1: its truncation "
+                         "depth exceeds the draw limit %d" % (_DRAW_LIMIT,))
+    D = max(1, math.floor((math.log2(g) - math.log2(L)) / log_r) + 1)
+    if (D - 1) * width > _DRAW_LIMIT:
+        raise InputError("self-similar draw of depth %d (estimated) needs "
+                         "about %d terms per batch, above the draw limit %d"
+                         % (D, D * width, _DRAW_LIMIT))
     while r ** D >= goal:
         D += 1
     while D > 1 and r ** (D - 1) < goal:
@@ -131,9 +137,9 @@ def _batch_draw(scheme: Scheme, u: int, M: int, ifs_depth: Optional[int]
             return gen.random((size, M)) * mask[:, None]
         return draw
     support = scheme.supports[u]
-    P = len(support.points)
-    pts = np.array([[float(x) for x in pt] for pt in support.points])
-    probs = np.array([float(q) for q in support.probs])
+    P, L = len(support.lattice), support.L
+    pts = np.array([[x / L for x in pt] for pt in support.lattice])
+    probs = np.array([c / support.W for c in support.counts])
     probs = probs / probs.sum()
     weights = float(scheme.ratio) ** np.arange(ifs_depth)
     return lambda gen, size: (
@@ -162,11 +168,12 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
     elif isinstance(scheme, SelfSimilarScheme):
         users = len(scheme.supports)
         M = scheme.supports[0].dim
+        width = min(n, _BATCH) * M  # series terms per unit of depth
         if ifs_depth is None:
             if k2 is None:
                 raise InputError("self-similar sampling needs ifs_depth or k2")
-            ifs_depth = ifs_truncation_depth(scheme, k2)
-        terms = min(n, _BATCH) * ifs_depth * M
+            ifs_depth = ifs_truncation_depth(scheme, k2, width)
+        terms = width * ifs_depth
         if terms > _DRAW_LIMIT:
             raise InputError("self-similar draw of depth %d needs %d terms "
                              "per batch, above the limit %d"

@@ -8,12 +8,18 @@ Families:
     a single default atom; its location never enters dimension results).
   * SelfSimilarScheme -- X_j = sum_{i >= 0} r^i W_i with W_i i.i.d. on a
     finite support; one contraction ratio shared by all users.
+
+A finite support (FiniteDist) is stored as integers: distinct integer
+points over one denominator L and positive counts over their sum W, in
+lowest terms, so the exact paths never go back to Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -33,28 +39,58 @@ Q = Fraction
 LATENT_TAGS = ("uniform01", "gaussian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteDist:
-    """Finite distribution on rational vectors; probs sum to exactly 1.
-    Both are checked on integers over their common denominators."""
+    """Finite distribution on rational vectors, stored on its integer
+    lattice in lowest terms: point t is lattice[t] / L and has probability
+    counts[t] / W.  Lowest terms make the form unique, so equal
+    distributions (same points and probabilities in the same order) have
+    equal fields.  `points` and `probs` are Fraction views of it."""
 
-    points: tuple[tuple[Fraction, ...], ...]
-    probs: tuple[Fraction, ...]
+    lattice: tuple[tuple[int, ...], ...]
+    L: int
+    counts: tuple[int, ...]
+    W: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(map(_vec, self.points)))
-        object.__setattr__(self, "probs", tuple(map(_q, self.probs)))
-        if not self.points:
+    def __init__(self, points: Iterable, probs: Iterable):
+        self._store(*_lattice(tuple(map(_vec, points))),
+                    *_over_lcm(map(_q, probs)))
+
+    @classmethod
+    def on_lattice(cls, lattice: Sequence[tuple[int, ...]], L: int,
+                   counts: Sequence[int], W: int) -> "FiniteDist":
+        """Points lattice[t] / L with probabilities counts[t] / W."""
+        D = cls.__new__(cls)
+        D._store(lattice, L, counts, W)
+        return D
+
+    def _store(self, lattice, L, counts, W):
+        """Both constructors' one check, on integers; stores lowest terms."""
+        if not lattice:
             raise InputError("empty support")
-        if len(self.points) != len(self.probs):
+        if len(lattice) != len(counts):
             raise InputError("points/probs length mismatch")
-        if len(set(_lattice(self.points)[0])) != len(self.points):
+        if len(set(lattice)) != len(lattice):
             raise InputError("support points must be pairwise distinct")
-        counts, W = _over_lcm(self.probs)
         if any(c <= 0 for c in counts):
             raise InputError("probabilities must be positive")
         if sum(counts) != W:
             raise InputError("probabilities must sum to exactly 1")
+        g, h = math.gcd(L, *(x for p in lattice for x in p)), math.gcd(*counts)
+        if g > 1:
+            lattice = [tuple(x // g for x in p) for p in lattice]
+        object.__setattr__(self, "lattice", tuple(lattice))
+        object.__setattr__(self, "L", L // g)
+        object.__setattr__(self, "counts", tuple(c // h for c in counts))
+        object.__setattr__(self, "W", W // h)
+
+    @cached_property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Q(x, self.L) for x in p) for p in self.lattice)
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Q(c, self.W) for c in self.counts)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple]) -> "FiniteDist":
@@ -67,7 +103,7 @@ class FiniteDist:
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return len(self.lattice[0])
 
     def is_scalar(self) -> bool:
         return self.dim == 1

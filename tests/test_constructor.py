@@ -15,6 +15,7 @@ from dofkit import (
     SelfSimilarScheme,
     clear_to_integers,
     constructed_dof,
+    dof_eval,
     fold_codewords,
     grid_build,
     lift_selfsimilar,
@@ -239,6 +240,22 @@ def test_constructed_dof_frozen_two_dimensional_instance():
                     ("0x1.67b27a69932bap+2", "0x1.3b0c89d198a12p+2")]
     assert rep.total.entropy_bits.hex() == "0x1.005626e1b8a0ap+1"
     assert rep.total.log2_inv_ratio == 8.0
+
+
+def test_exact_path_reads_no_fraction_view(monkeypatch):
+    # sumsets go from the fold to the open-set sweep and to the entropy on
+    # their integer lattice: with FiniteDist's Fraction views refusing,
+    # dof_eval and constructed_dof still give the frozen values
+    def refuse(self):
+        raise AssertionError("a Fraction view was read on the exact path")
+    monkeypatch.setattr(FiniteDist, "points", property(refuse))
+    monkeypatch.setattr(FiniteDist, "probs", property(refuse))
+    W = FiniteDist.uniform([0, 2])
+    rep = dof_eval(TWO_USER, SelfSimilarScheme(Q(1, 3), (W, W)))
+    assert [(t.full_dim.entropy_bits, t.interference_dim.entropy_bits)
+            for t in rep.per_receiver] == [(1.5, 1.0)] * 2  # as in test_engine
+    test_constructed_dof_frozen_instance()
+    test_constructed_dof_frozen_two_dimensional_instance()  # ex1 at k=8
 
 
 def test_constructed_dof_checks_ratio():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dofkit import DimValue, FiniteDist, RatMatrix
+from dofkit import DimValue, FiniteDist, RatMatrix, SelfSimilarScheme
 from dofkit.dimension import (
     convolve_linear,
     dim_mixture_sum,
@@ -26,6 +26,12 @@ from dofkit.errors import (
     RatioOutOfRange,
     SupportTooLarge,
     TooFewPoints,
+)
+from dofkit.serialize import (
+    finite_dist_json,
+    parse_finite_dist,
+    parse_scheme,
+    scheme_json,
 )
 
 from conftest import rand_matrix
@@ -158,6 +164,16 @@ def test_entropy_finite_probability_below_float_range_adds_zero():
     sub = Q(1, 2 ** 1074)
     edge = FiniteDist.from_pairs([((0,), 1 - sub), ((1,), sub)])
     assert entropy_finite(edge) == 1074 * 2.0 ** -1074
+    # W far above 2^1100 and no power of two: each p = c / W is rounded
+    # once, as float(Fraction(c, W)) is, to 0, to a subnormal and to 1/3
+    W = 3 ** 2000
+    counts = (1, W >> 1070, 3 ** 1999)
+    counts += (W - sum(counts),)
+    big = FiniteDist.from_pairs([((i,), Q(c, W))
+                                 for i, c in enumerate(counts)])
+    ps = [float(Q(c, W)) for c in counts]
+    assert ps[0] == 0.0 and 0.0 < ps[1] < 2.0 ** -1022
+    assert entropy_finite(big) == -math.fsum(p * math.log2(p) for p in ps if p)
 
 
 def test_entropy_finite_order_independent():
@@ -202,6 +218,27 @@ def test_convolve_linear_cap():
     one = RatMatrix.identity(1)
     with pytest.raises(SupportTooLarge):
         convolve_linear([(one, big)] * 3, cap=10 ** 4)
+
+
+@pytest.mark.parametrize("terms", [
+    # L = 2 divides every coordinate of the images 0 and 2
+    [(RatMatrix.from_rows([[Q(1, 2)]]), FiniteDist.uniform([0, 2]))],
+    # the zero-matrix term doubles every count, and W = 4
+    [(RatMatrix.identity(1), FiniteDist.uniform([0, 1])),
+     (RatMatrix.zeros(1, 1), FiniteDist.uniform([0, 1]))],
+])
+def test_convolve_linear_result_is_in_lowest_terms(terms):
+    # the fold's lattice form is reduced, so it equals, hashes like and
+    # round-trips through JSON like the distribution built from rationals
+    out = convolve_linear(terms)
+    rational = FiniteDist.uniform([0, 1])
+    assert (out.lattice, out.L, out.counts, out.W) == (((0,), (1,)), 1,
+                                                       (1, 1), 2)
+    assert out == rational and hash(out) == hash(rational)
+    assert finite_dist_json(out) == finite_dist_json(rational)
+    assert parse_finite_dist(finite_dist_json(out)) == out
+    scheme = SelfSimilarScheme(Q(1, 3), (out, rational))
+    assert parse_scheme(scheme_json(scheme)) == scheme
 
 
 @settings(max_examples=80, deadline=None)

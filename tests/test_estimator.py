@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction as Q
@@ -136,6 +139,30 @@ def test_sampling_refuses_over_deep_self_similar_draws():
         sample_scheme(CANTOR, 1000, seed=0, ifs_depth=10**12)
     with pytest.raises(InputError, match="depth 1896 "):
         sample_scheme(CANTOR, 1 << 16, seed=0, k2=3000)
+
+
+def test_over_deep_derived_draw_is_refused_before_any_exact_power():
+    # 65535/65536 at k2=8 needs depth 1181070, whose exact power alone
+    # takes seconds, while a 65536-sample batch holds depth 256 at most:
+    # the float estimate refuses it at once (a fresh process, so a slow
+    # refusal is cut by the timeout)
+    import dofkit
+    code = """
+from fractions import Fraction as Q
+from dofkit import FiniteDist, SelfSimilarScheme, sample_scheme
+from dofkit.errors import InputError
+scheme = SelfSimilarScheme(Q(65535, 65536), (FiniteDist.uniform([0, 1]),))
+try:
+    sample_scheme(scheme, 100000, 0, k2=8)
+except InputError as e:
+    print(e)
+"""
+    src = os.path.dirname(os.path.dirname(dofkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=5)
+    assert out.returncode == 0, out.stderr
+    assert "depth 1181070 " in out.stdout and "draw limit" in out.stdout
 
 
 # --------------------------------------------------------- plug-in entropy
