@@ -188,80 +188,58 @@ def build_parser() -> argparse.ArgumentParser:
                     "interference channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the JSON report here instead "
-                                     "of stdout")
-        p.add_argument("--pretty", action="store_true",
-                       help="also print a human summary to stderr")
+    def command(name, fn, help, files=("channel",), **file_help):
+        """Add subcommand `name` with its handler fn and a required --FILE
+        for each of `files` (helped by file_help[FILE])."""
+        p = sub.add_parser(name, help=help)
+        for f in files:
+            p.add_argument("--" + f, required=True, help=file_help.get(f))
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate a scheme on a channel")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--scheme", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_eval)
+    command("eval", _cmd_eval, "evaluate a scheme on a channel",
+            ("channel", "scheme"))
+    command("bound", _cmd_bound, "certify the K M / 2 outer bound")
+    command("mimo", _cmd_mimo, "zero-forcing feasibility test",
+            ("channel", "pairs"))
+    command("parallel", _cmd_parallel,
+            "split a block-diagonal channel into subchannels")
 
-    p = sub.add_parser("bound", help="certify the K M / 2 outer bound")
-    p.add_argument("--channel", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_bound)
-
-    p = sub.add_parser("mimo", help="zero-forcing feasibility test")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--pairs", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_mimo)
-
-    p = sub.add_parser("parallel", help="split a block-diagonal channel "
-                                        "into subchannels")
-    p.add_argument("--channel", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_parallel)
-
-    p = sub.add_parser("estimate", help="Monte Carlo dof estimate")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--scheme", required=True)
+    p = command("estimate", _cmd_estimate, "Monte Carlo dof estimate",
+                ("channel", "scheme"))
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--k1", type=int, default=4)
     p.add_argument("--k2", type=int, default=8)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--depth", type=int, default=None,
                    help="self-similar truncation depth (default: derived)")
-    common(p)
-    p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("construct", help="self-similar input construction "
-                                         "from uniform grid codewords")
-    p.add_argument("--channel", required=True)
+    p = command("construct", _cmd_construct, "self-similar input "
+                "construction from uniform grid codewords")
     p.add_argument("--N", type=int, required=True, help="blocklength")
     p.add_argument("--k", type=int, required=True,
                    help="resolution exponent (r = 2^-k)")
-    common(p)
-    p.set_defaults(fn=_cmd_construct)
 
-    p = sub.add_parser("search", help="exhaustive direction search")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--pool", required=True,
-                   help="JSON with pool/pools and dims")
-    common(p)
-    p.set_defaults(fn=_cmd_search)
+    command("search", _cmd_search, "exhaustive direction search",
+            ("channel", "pool"), pool="JSON with pool/pools and dims")
 
-    p = sub.add_parser("example", help="run a named fixture")
+    p = command("example", _cmd_example, "run a named fixture", ())
     p.add_argument("name")
     p.add_argument("args", nargs="*", help="extra fixture arguments "
                                            "(cyclic takes K and M)")
     p.add_argument("--seed", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_example)
 
-    p = sub.add_parser("standardize", help="3-user standard form")
-    p.add_argument("--channel", required=True,
-                   help="JSON with a matrix entry, or a K=3, M=1 channel")
+    p = command("standardize", _cmd_standardize, "3-user standard form",
+                channel="JSON with a matrix entry, or a K=3, M=1 channel")
     p.add_argument("--strictness", action="store_true",
                    help="also evaluate the strictness predicate on the "
                         "standardized matrix")
-    common(p)
-    p.set_defaults(fn=_cmd_standardize)
 
+    for p in sub.choices.values():  # after each command's own options
+        p.add_argument("--out", help="write the JSON report here instead "
+                                     "of stdout")
+        p.add_argument("--pretty", action="store_true",
+                       help="also print a human summary to stderr")
     return parser
 
 

@@ -106,20 +106,20 @@ def grid_build(H: ChannelMatrix, k: int, N: int = 1
     return params, tuple(t * step for t in range(2 ** (k - p) + 1))
 
 
-def uniform_codewords(grid: Sequence, K: int, M: int, N: int,
-                      cap: int = CONVOLVE_CAP) -> tuple[FiniteDist, ...]:
+def uniform_codewords(grid: Sequence, K: int, M: int, N: int
+                      ) -> tuple[FiniteDist, ...]:
     """The default multi-letter input: i.i.d. uniform over the grid in
     every one of the M*N codeword entries, identical across users (FiniteDist
     refuses an empty or repeating grid).  The fold is injective, so each
-    receiver's full sumset convolves K supports of n_points each; a product
-    of n_points^K over `cap` is refused here, before any codeword is built."""
+    receiver's full sumset convolves K supports of n_points each, and a
+    product n_points^K over CONVOLVE_CAP is refused before any codeword."""
     n_points = len(grid) ** (M * N)
-    if n_points > cap:
+    if n_points > CONVOLVE_CAP:
         raise SupportTooLarge("codeword support of %d points exceeds cap %d"
-                              % (n_points, cap))
-    if n_points ** K > cap:
+                              % (n_points, CONVOLVE_CAP))
+    if n_points ** K > CONVOLVE_CAP:
         raise SupportTooLarge("full sumset product of %d^%d points exceeds "
-                              "cap %d" % (n_points, K, cap))
+                              "cap %d" % (n_points, K, CONVOLVE_CAP))
     dist = FiniteDist.uniform(tuple(itertools.product(grid, repeat=M * N)))
     return tuple(dist for _ in range(K))
 

@@ -122,15 +122,20 @@ def sum_dims(values: Sequence[DimValue]) -> DimValue:
     return DimValue.from_estimate(fsum(v.estimate for v in values), se)
 
 
+def _coord_range(pts: Sequence[tuple[int, ...]]) -> int:
+    """The largest coordinate range of integer points: their maximum
+    pairwise l-infinity distance."""
+    return max(max(c) - min(c) for c in zip(*pts))
+
+
 def _sweep(pts: list[tuple[int, ...]]) -> tuple[int, int]:
     """Minimum and maximum pairwise l-infinity distance of sorted distinct
-    integer points.  The maximum is the largest coordinate range.  The
-    minimum comes from a sweep: the first-coordinate gap bounds the
-    distance from below, so each scan stops once it reaches the best."""
+    integer points.  The maximum is _coord_range.  The minimum comes from a
+    sweep: the first-coordinate gap bounds the distance from below, so
+    each scan stops once it reaches the best."""
     if len(pts) < 2:
         raise TooFewPoints("need at least 2 distinct points, got %d" % len(pts))
-    M = max(max(c) - min(c) for c in zip(*pts))
-    m = M
+    M = m = _coord_range(pts)
     for i, a in enumerate(pts):
         for j in range(i + 1, len(pts)):
             b = pts[j]
@@ -179,8 +184,8 @@ def entropy_finite(D: FiniteDist) -> float:
     return -fsum(p * math.log2(p) for p in (c / D.W for c in D.counts) if p)
 
 
-def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
-                    cap: int = CONVOLVE_CAP) -> FiniteDist:
+def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]]
+                    ) -> FiniteDist:
     """Exact distribution of sum_j A_j Z_j for independent Z_j ~ D_j, by a
     fold that adds each term's images to the points so far and merges
     coinciding points.  The fold runs on integers.  A_j is cleared once to
@@ -188,8 +193,8 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
     an image A_j z is an integer dot product over L_A L_D; every image is
     scaled to the lcm L of those products, and the counts sum to
     prod_j W_j.  The result is that lattice form; no Fraction is built.
-    `cap` bounds the product of the support sizes before any work; the
-    fold's work grows with the sumset instead."""
+    CONVOLVE_CAP bounds the product of the support sizes before any work;
+    the fold's work grows with the sumset instead."""
     if not terms:
         raise InputError("convolution of no terms")
     out_dim = terms[0][0].rows
@@ -200,9 +205,9 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]],
             raise DimMismatch("matrix takes dimension %d, support has %d"
                               % (A.cols, D.dim))
     size = math.prod(len(D.lattice) for _, D in terms)
-    if size > cap:
+    if size > CONVOLVE_CAP:
         raise SupportTooLarge("product support of %d points exceeds cap %d"
-                              % (size, cap))
+                              % (size, CONVOLVE_CAP))
     rows = [_lattice(list(map(A.row, range(out_dim)))) for A, _ in terms]
     L = math.lcm(*(LA * D.L for (_, LA), (_, D) in zip(rows, terms)))
     acc: dict[tuple[int, ...], int] = {(0,) * out_dim: 1}

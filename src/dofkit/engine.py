@@ -481,13 +481,12 @@ def rational_strictness(subchannels: Sequence[RatMatrix]) -> StrictnessClaim:
 
 def search_best_subspace(H: ChannelMatrix,
                          pools: Sequence[Sequence[Sequence]],
-                         dims: Sequence[int],
-                         budget: int = SEARCH_BUDGET
+                         dims: Sequence[int]
                          ) -> tuple[SubspaceScheme, DofReport]:
     """Exhaustively try every assignment of d_j pool vectors per user and
     return the scheme maximizing the dof total (ties: first assignment in
     lexicographic pool-index order).  Subsets with dependent columns are
-    skipped; the assignment count is bounded by `budget` up front."""
+    skipped; the assignment count is bounded by SEARCH_BUDGET up front."""
     if len(pools) != H.K or len(dims) != H.K:
         raise UserCountMismatch("need one pool and one dimension per user")
     vec_pools = []
@@ -505,9 +504,9 @@ def search_best_subspace(H: ChannelMatrix,
     count = 1
     for j in range(H.K):
         count *= math.comb(len(vec_pools[j]), dims[j])
-    if count > budget:
+    if count > SEARCH_BUDGET:
         raise BudgetExceeded("%d assignments exceed the budget of %d"
-                             % (count, budget))
+                             % (count, SEARCH_BUDGET))
     if count == 0:
         raise InputError("some pool is smaller than the requested dimension")
 

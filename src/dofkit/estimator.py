@@ -8,6 +8,9 @@ entropy over dyadic cells,
 which cancels the resolution-independent additive constants.  Sampling is
 counter-based (Philox) with keys derived from (seed xor batch, user), so
 identical configs give bit-identical streams regardless of batching.
+Seeds are ints in [0, 2^64); any other seed raises InputError.  Because
+the key is seed xor batch, seed s's batch b (samples [65536 b, 65536 (b+1)))
+equals seed s xor b's batch 0: seeds 0 and 1 overlap.
 
 Cells are counted from one quantization per signal: floor(2^k2 x) is
 computed once, and the k1 and intermediate cells are arithmetic right
@@ -32,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dimension import DimValue, minmax_dist
+from .dimension import DimValue, _coord_range
 from .engine import DofReport, assemble_report
 from .errors import InputError, InvariantViolated
 from .linalg import ChannelMatrix, _over_lcm
@@ -46,7 +49,6 @@ from .schemes import (
 
 Q = Fraction
 
-_MASK64 = (1 << 64) - 1
 _BATCH = 1 << 16
 _DRAW_LIMIT = 1 << 24  # elements of one self-similar (batch, depth, M) draw
 _CELL_LIMIT = 1 << 62
@@ -68,6 +70,7 @@ class EstimatorConfig:
                              % (self.k1, self.k2))
         if self.ifs_depth is not None and self.ifs_depth < 1:
             raise InputError("ifs_depth must be positive")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,16 @@ class DimEstimate:
     k2: int
 
 
+def _check_seed(seed) -> None:
+    """A seed is an int in [0, 2^64), one Philox key word."""
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed < 1 << 64:
+        raise InputError("seed must be an integer in [0, 2^64), got %r"
+                         % (seed,))
+
+
 def _generator(seed: int, user: int, batch: int) -> np.random.Generator:
-    key = np.array([(seed ^ batch) & _MASK64, user & _MASK64],
-                   dtype=np.uint64)
+    key = np.array([seed ^ batch, user], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -94,11 +104,10 @@ def ifs_truncation_depth(scheme: SelfSimilarScheme, k2: int,
     even one step below the estimate is refused before any exact power,
     which near D = 10^6 alone takes seconds."""
     r = scheme.ratio
-    spans = [minmax_dist(s.lattice)[1] / s.L for s in scheme.supports
-             if len(s.lattice) >= 2]
-    if not spans:
+    span = max(Q(_coord_range(s.lattice), s.L) for s in scheme.supports)
+    if not span:
         return 1  # every support is an atom; the series is constant
-    goal = Q(1, 2 ** (k2 + 2)) * (1 - r) / max(spans)  # want r^D < goal
+    goal = Q(1, 2 ** (k2 + 2)) * (1 - r) / span  # want r^D < goal
     (g, n), L = _over_lcm((goal, r))
     log_r = math.log2(n) - math.log2(L)
     if log_r >= 0:
@@ -116,35 +125,53 @@ def ifs_truncation_depth(scheme: SelfSimilarScheme, k2: int,
     return D
 
 
-def _batch_draw(scheme: Scheme, u: int, M: int, ifs_depth: Optional[int]
-                ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """User u's per-batch draw(gen, size) -> (size, M) samples, with the
-    user's constants (direction matrix, support, weights) built once."""
+def _user_draws(scheme: Scheme, n: int, M: Optional[int],
+                ifs_depth: Optional[int], k2: Optional[int]
+                ) -> list[Callable[[np.random.Generator, int], np.ndarray]]:
+    """Each user's per-batch draw(gen, size) -> (size, M) samples, with
+    the user's constants (direction matrix, support, weights) built once.
+    A mixture needs M >= 1; a self-similar depth must be positive, and a
+    batch of more than _DRAW_LIMIT series terms is refused."""
     if isinstance(scheme, SubspaceScheme):
-        V = scheme.directions[u]
-        if V.cols == 0:
-            return lambda gen, size: np.zeros((size, M))
-        VfT = np.array(V.to_float_rows()).T
-        if scheme.latent_tag == "gaussian":
-            return lambda gen, size: gen.standard_normal((size, V.cols)) @ VfT
-        return lambda gen, size: gen.random((size, V.cols)) @ VfT
+        def subspace(V):  # no columns: (size, 0) @ (0, M) gives zeros
+            VfT, d = np.array(V.to_float_rows()).T, V.cols
+            if scheme.latent_tag == "gaussian":
+                return lambda gen, size: gen.standard_normal((size, d)) @ VfT
+            return lambda gen, size: gen.random((size, d)) @ VfT
+        return [subspace(V) for V in scheme.directions]
     if isinstance(scheme, MixtureScheme):
-        # with probability alpha a uniform [0,1)^M draw, else the origin
-        a = float(scheme.alphas[u])
+        if M is None or M < 1:
+            raise InputError("mixture sampling needs the ambient dimension "
+                             "M >= 1, got %r" % (M,))
 
-        def draw(gen, size):
-            mask = gen.random(size) < a
-            return gen.random((size, M)) * mask[:, None]
-        return draw
-    support = scheme.supports[u]
-    P, L = len(support.lattice), support.L
-    pts = np.array([[x / L for x in pt] for pt in support.lattice])
-    probs = np.array([c / support.W for c in support.counts])
-    probs = probs / probs.sum()
-    weights = float(scheme.ratio) ** np.arange(ifs_depth)
-    return lambda gen, size: (
-        pts[gen.choice(P, size=(size, ifs_depth), p=probs)]
-        * weights[None, :, None]).sum(axis=1)
+        def mixture(a):
+            # a uniform [0,1)^M draw with probability a, else the origin;
+            # the mask is drawn before the values
+            return lambda gen, size: (
+                (gen.random(size) < a)[:, None] * gen.random((size, M)))
+        return [mixture(float(a)) for a in scheme.alphas]
+    if isinstance(scheme, SelfSimilarScheme):
+        width = min(n, _BATCH) * scheme.supports[0].dim  # terms per depth
+        if ifs_depth is None:
+            if k2 is None:
+                raise InputError("self-similar sampling needs ifs_depth or k2")
+            ifs_depth = ifs_truncation_depth(scheme, k2, width)
+        if ifs_depth < 1 or width * ifs_depth > _DRAW_LIMIT:
+            raise InputError("self-similar draw of depth %d needs %d terms "
+                             "per batch; the depth must be positive and "
+                             "the terms at most %d"
+                             % (ifs_depth, width * ifs_depth, _DRAW_LIMIT))
+        weights = float(scheme.ratio) ** np.arange(ifs_depth)
+
+        def selfsimilar(D):
+            pts = np.array([[x / D.L for x in pt] for pt in D.lattice])
+            probs = np.array([c / D.W for c in D.counts])
+            probs = probs / probs.sum()
+            return lambda gen, size: (
+                pts[gen.choice(len(pts), size=(size, ifs_depth), p=probs)]
+                * weights[None, :, None]).sum(axis=1)
+        return [selfsimilar(D) for D in scheme.supports]
+    raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
 
 
 def sample_scheme(scheme: Scheme, n: int, seed: int, *,
@@ -155,35 +182,13 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
     not carry their ambient dimension and need M passed in (usually the
     channel's); self-similar series are truncated at ifs_depth terms
     (derived from k2 when not given), and a batch of more than
-    _DRAW_LIMIT series terms is refused before any draw."""
+    _DRAW_LIMIT series terms is refused before any draw.  The seed must
+    be an int in [0, 2^64)."""
     if n < 1:
         raise InputError("need at least one sample, got n=%d" % (n,))
-    if isinstance(scheme, SubspaceScheme):
-        users = len(scheme.directions)
-        M = scheme.directions[0].rows
-    elif isinstance(scheme, MixtureScheme):
-        if M is None:
-            raise InputError("mixture sampling needs the ambient dimension M")
-        users = len(scheme.alphas)
-    elif isinstance(scheme, SelfSimilarScheme):
-        users = len(scheme.supports)
-        M = scheme.supports[0].dim
-        width = min(n, _BATCH) * M  # series terms per unit of depth
-        if ifs_depth is None:
-            if k2 is None:
-                raise InputError("self-similar sampling needs ifs_depth or k2")
-            ifs_depth = ifs_truncation_depth(scheme, k2, width)
-        terms = width * ifs_depth
-        if terms > _DRAW_LIMIT:
-            raise InputError("self-similar draw of depth %d needs %d terms "
-                             "per batch, above the limit %d"
-                             % (ifs_depth, terms, _DRAW_LIMIT))
-    else:
-        raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
-
+    _check_seed(seed)
     out = []
-    for u in range(users):
-        draw = _batch_draw(scheme, u, M, ifs_depth)
+    for u, draw in enumerate(_user_draws(scheme, n, M, ifs_depth, k2)):
         chunks = []
         for start in range(0, n, _BATCH):
             gen = _generator(seed, u, start // _BATCH)
@@ -194,11 +199,14 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
 
 def _cells(samples: np.ndarray, k: int) -> np.ndarray:
     """Dyadic cells floor(2^k x) as int64 rows, shape (n, M).  Refuses
-    samples that are not finite or have |x| 2^k >= 2^62, beyond which
-    packed cell keys could wrap."""
+    arrays of other shapes, and samples that are not finite or have
+    |x| 2^k >= 2^62, beyond which packed cell keys could wrap."""
     arr = np.asarray(samples, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.ndim != 2:
+        raise InputError("samples must be an (n,) or (n, M) array, got "
+                         "shape %s" % (arr.shape,))
     lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
     if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN propagates
         raise InputError("samples must be finite (found NaN or inf)")

@@ -21,6 +21,7 @@ from .engine import (
     ReceiverTerms,
     StandardForm,
     StrictnessClaim,
+    complex_stack,
 )
 from .errors import InputError
 from .linalg import ChannelMatrix, DerangementCert, RatMatrix, Subspace
@@ -116,32 +117,24 @@ def parse_channel(obj: Any) -> ChannelMatrix:
             or any(not isinstance(r, list) or len(r) != K for r in raw):
         raise InputError("blocks grid is not K x K")
     if obj.get("complex"):
-        from .engine import complex_stack
-        re_blocks, im_blocks = [], []
-        for i in range(K):
-            re_row, im_row = [], []
-            for j in range(K):
-                block = raw[i][j]
-                try:
-                    re_row.append(RatMatrix.from_rows(
-                        [[parse_rat(e["re"]) for e in row] for row in block]))
-                    im_row.append(RatMatrix.from_rows(
-                        [[parse_rat(e["im"]) for e in row] for row in block]))
-                except (KeyError, TypeError) as e:
-                    raise InputError(
-                        "complex entries need re/im fields: %s" % e)
-            re_blocks.append(re_row)
-            im_blocks.append(im_row)
-        _require_m_by_m(re_blocks + im_blocks, M)
-        return complex_stack(re_blocks, im_blocks)
-    blocks = [[parse_matrix(raw[i][j]) for j in range(K)] for i in range(K)]
-    _require_m_by_m(blocks, M)
-    return ChannelMatrix.from_blocks(blocks)
+        return complex_stack(_blocks(raw, M, "re"), _blocks(raw, M, "im"))
+    return ChannelMatrix.from_blocks(_blocks(raw, M))
 
 
-def _require_m_by_m(block_rows: list, M: int) -> None:
-    if any((b.rows, b.cols) != (M, M) for brow in block_rows for b in brow):
+def _blocks(raw: list, M: int, part: Optional[str] = None
+            ) -> list[list[RatMatrix]]:
+    """The grid's blocks, each read by parse_matrix and required M x M;
+    `part` picks that field ("re" or "im") of every complex entry."""
+    try:
+        blocks = [[parse_matrix([[e if part is None else e[part]
+                                  for e in parse_list(row, "matrix row")]
+                                 for row in parse_list(block, "matrix")])
+                   for block in brow] for brow in raw]
+    except (KeyError, TypeError) as e:
+        raise InputError("complex entries need re/im fields: %s" % e)
+    if any((b.rows, b.cols) != (M, M) for brow in blocks for b in brow):
         raise InputError("every block must be M x M")
+    return blocks
 
 
 # -- schemes -----------------------------------------------------------------
@@ -214,12 +207,9 @@ def parse_mimo_pairs(obj: Any, M: int) -> MimoConfig:
     pairs = []
     for t, pair in enumerate(parse_list(raw, "pairs")):
         try:
-            U = Subspace.from_columns(
-                M, [[parse_rat(x) for x in parse_list(col, "U column")]
-                    for col in parse_list(pair["U"], "U")])
-            V = Subspace.from_columns(
-                M, [[parse_rat(x) for x in parse_list(col, "V column")]
-                    for col in parse_list(pair["V"], "V")])
+            U, V = (Subspace.from_columns(
+                M, [[parse_rat(x) for x in parse_list(col, name + " column")]
+                    for col in parse_list(pair[name], name)]) for name in "UV")
         except (KeyError, TypeError) as e:
             raise InputError("pair %d needs U and V column lists: %s"
                              % (t + 1, e))

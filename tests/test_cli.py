@@ -1,10 +1,13 @@
+import argparse
 import json
+import pathlib
+import shlex
 from fractions import Fraction as Q
 
 import pytest
 
 from dofkit import ChannelMatrix, MixtureScheme, SubspaceScheme, dof_eval
-from dofkit.cli import main
+from dofkit.cli import build_parser, main
 from dofkit.examples import ex1
 from dofkit.serialize import channel_json, report_json, scheme_json
 
@@ -300,6 +303,17 @@ def test_estimate_seed_from_environment(files, capsys, monkeypatch):
     assert out_override == out_flag
 
 
+def test_seed_domain_is_the_estimators(files, capsys, monkeypatch):
+    # the estimator's seeds are ints in [0, 2^64); a fixture's seed goes to
+    # random.Random, which takes any int
+    argv = ["estimate", "--channel", files["two.json"],
+            "--scheme", files["mix.json"], "--samples", "100"]
+    assert run(capsys, *argv, "--seed", "-1")[0] == 2
+    monkeypatch.setenv("DOFKIT_SEED", str(1 << 64))
+    assert run(capsys, *argv)[0] == 2
+    assert run(capsys, "example", "k3m3", "--seed", "-1")[0] == 0
+
+
 def test_estimate_refuses_over_deep_self_similar_draw(files, capsys):
     # refused before sampling, not after asking numpy for the memory
     code, out, err = run(capsys, "estimate", "--channel", files["two.json"],
@@ -363,3 +377,54 @@ def test_exit_code_on_analysis_refusal(files, capsys):
     # overlapping self-similar supports: the dimension rule refuses
     assert main(["eval", "--channel", files["two.json"],
                  "--scheme", files["selfsim.json"]]) == 1
+
+
+# Each subcommand's option strings (sorted, -h/--help left out), its
+# required flags and its positionals.
+SURFACE = {
+    "eval": (["--channel", "--out", "--pretty", "--scheme"],
+             ["--channel", "--scheme"], []),
+    "bound": (["--channel", "--out", "--pretty"], ["--channel"], []),
+    "mimo": (["--channel", "--out", "--pairs", "--pretty"],
+             ["--channel", "--pairs"], []),
+    "parallel": (["--channel", "--out", "--pretty"], ["--channel"], []),
+    "estimate": (["--channel", "--depth", "--k1", "--k2", "--out", "--pretty",
+                  "--samples", "--scheme", "--seed"],
+                 ["--channel", "--scheme"], []),
+    "construct": (["--N", "--channel", "--k", "--out", "--pretty"],
+                  ["--N", "--channel", "--k"], []),
+    "search": (["--channel", "--out", "--pool", "--pretty"],
+               ["--channel", "--pool"], []),
+    "example": (["--out", "--pretty", "--seed"], [], ["name", "args"]),
+    "standardize": (["--channel", "--out", "--pretty", "--strictness"],
+                    ["--channel"], []),
+}
+
+
+def test_cli_surface_is_frozen():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        found[name] = (
+            sorted(o for a in actions for o in a.option_strings),
+            sorted(a.option_strings[0] for a in actions
+                   if a.option_strings and a.required),
+            [a.dest for a in actions if not a.option_strings])
+    assert found == SURFACE
+
+
+def test_readme_cli_lines_parse():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## Quick start (CLI)")[1]
+    block = block.split("```")[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.splitlines() if line.startswith("dofkit ")]
+    assert lines
+    parser = build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1] and callable(args.fn)

@@ -22,6 +22,7 @@ from dofkit import (
     minkowski_check,
     uniform_codewords,
 )
+from dofkit.dimension import CONVOLVE_CAP
 from dofkit.examples import ex1
 from dofkit.errors import (
     ConditionViolated,
@@ -134,8 +135,8 @@ def test_uniform_codewords():
         assert len(D.points) == 9  # |grid|^(M*N)
         assert all(p == Q(1, 9) for p in D.probs)
         assert D.dim == 2
-    with pytest.raises(SupportTooLarge):
-        uniform_codewords(grid, 2, 2, 8, cap=1000)
+    with pytest.raises(SupportTooLarge):  # 3^16 points, over CONVOLVE_CAP
+        uniform_codewords(grid, 2, 2, 8)
     for bad in ((), (Q(0), Q(1, 2), Q(0))):  # empty, repeating
         with pytest.raises(InputError):
             uniform_codewords(bad, 2, 1, 1)
@@ -151,12 +152,14 @@ def test_fold_codewords():
 
 
 def test_uniform_codewords_refuses_full_sumset_product_up_front():
-    # 9 codeword points fit the cap, but each receiver's full sumset would
-    # convolve 9^2 = 81 > 50 points: refused before any codeword is built
-    grid = (Q(0), Q(1, 2), Q(1))
-    assert len(uniform_codewords(grid, 2, 1, 2, cap=81)[0].points) == 9
+    # 1000 codeword points fit the cap of 10^6, and so does K=2's full
+    # sumset product 1000^2; K=3's 1000^3 is refused before any codeword
+    # is built
+    grid = tuple(Q(t) for t in range(1000))
+    assert CONVOLVE_CAP == 10 ** 6
+    assert len(uniform_codewords(grid, 2, 1, 1)[0].points) == 1000
     with pytest.raises(SupportTooLarge):
-        uniform_codewords(grid, 2, 1, 2, cap=50)
+        uniform_codewords(grid, 3, 1, 1)
 
 
 def fold_reference(dist, r, N):

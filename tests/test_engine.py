@@ -406,9 +406,11 @@ def test_search_best_subspace():
 
 
 def test_search_budget():
+    # 101^3 = 1030301 assignments, over SEARCH_BUDGET = 10^6
     H, _ = ex1()
+    pool = [(1, t) for t in range(101)]
     with pytest.raises(BudgetExceeded):
-        search_best_subspace(H, [POOL] * 3, (1, 1, 1), budget=10)
+        search_best_subspace(H, [pool] * 3, (1, 1, 1))
 
 
 def test_search_pool_too_small():

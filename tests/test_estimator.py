@@ -47,6 +47,23 @@ def test_config_validation():
         EstimatorConfig(n_samples=10, k1=3, k2=3, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.0, True, "1"])
+def test_seeds_outside_the_key_domain_are_refused(seed):
+    # a seed is one Philox key word, an int in [0, 2^64); masking others
+    # into it would give -1 the key of 2^64 - 1 and 2^64 the key of 0
+    with pytest.raises(InputError, match="seed"):
+        EstimatorConfig(n_samples=10, k1=1, k2=2, seed=seed)
+    with pytest.raises(InputError, match="seed"):
+        sample_scheme(CANTOR, 5, seed, k2=4)
+
+
+def test_largest_seed_is_accepted():
+    top = (1 << 64) - 1
+    assert EstimatorConfig(n_samples=10, k1=1, k2=2, seed=top).seed == top
+    xs = sample_scheme(CANTOR, 5, top, k2=4)[0]
+    assert not np.array_equal(xs, sample_scheme(CANTOR, 5, 0, k2=4)[0])
+
+
 # ------------------------------------------------------------ sample streams
 
 
@@ -82,6 +99,32 @@ def test_mixture_samples_need_ambient_dim():
     xs = sample_scheme(mix, 100_000, seed=1, M=1)[0]
     atom_freq = np.mean(np.all(xs == 0.0, axis=1))
     assert abs(atom_freq - 0.5) < 0.01  # ~3 sigma for n = 1e5
+
+
+@pytest.mark.parametrize("depth", [0, -5])
+def test_sampling_refuses_nonpositive_depth(depth):
+    # depth 0 would draw all-zero samples, and -5 fail inside numpy
+    with pytest.raises(InputError, match="depth"):
+        sample_scheme(CANTOR, 5, 0, ifs_depth=depth)
+
+
+@pytest.mark.parametrize("M", [0, -1])
+def test_mixture_sampling_refuses_nonpositive_ambient_dim(M):
+    # M=0 would draw (n, 0) samples, and M=-1 fail inside numpy
+    with pytest.raises(InputError, match="ambient dimension"):
+        sample_scheme(MixtureScheme((Q(1, 2),)), 5, 0, M=M)
+
+
+def test_ifs_truncation_depth_reads_the_span_off_the_lattice(monkeypatch):
+    # the depth needs only the largest coordinate range, not minmax_dist's
+    # sort and minimum-distance sweep (seconds on 3000 collinear points)
+    def refuse(*_):
+        raise AssertionError("minmax_dist called")
+    monkeypatch.setattr("dofkit.estimator.minmax_dist", refuse, raising=False)
+    monkeypatch.setattr("dofkit.dimension.minmax_dist", refuse)
+    assert ifs_truncation_depth(CANTOR, k2=12) == 10
+    near_one = SelfSimilarScheme(Q(4095, 4096), (FiniteDist.uniform([0, 1]),))
+    assert ifs_truncation_depth(near_one, k2=8) == 62454
 
 
 def test_ifs_truncation_depth():
@@ -199,6 +242,14 @@ def test_cells_refuse_non_finite_samples():
         with pytest.raises(InputError):
             estimate_dim(np.array([[0.1, 0.2], [bad, 0.3]]),
                          EstimatorConfig(n_samples=2, k1=1, k2=3, seed=0))
+
+
+def test_cells_refuse_arrays_of_more_than_two_dimensions():
+    bad = np.zeros((10, 2, 2))
+    with pytest.raises(InputError, match="shape"):
+        quantized_entropy(bad, 3)
+    with pytest.raises(InputError, match="shape"):
+        estimate_dim(bad, EstimatorConfig(n_samples=10, k1=1, k2=3, seed=0))
 
 
 def test_cells_refuse_resolutions_past_the_key_range():
