@@ -11,11 +11,14 @@ The third path only certifies the formula under the sufficient condition;
 when it fails the answer may still be correct, but this module refuses to
 guess (OpenSetUnverified).  It computes on integers: a FiniteDist is
 stored as integer points over L with integer counts over W.
-convolve_linear forms each term's images as integer dot products, folds
-them with the counts and returns that form; open_set_check sweeps the
-sumset's lattice (m/(m+M) does not change under scaling), and
-entropy_finite takes p = c / W.  Other point sets are cleared to
-integers by linalg's _lattice first.
+convolve_linear forms each term's images as integer dot products, packs
+each into one int key (digits in a base above the sumset's range, so keys
+add like points and sort like tuples), folds the keys with the counts
+and returns that form.  open_set_check works on the sumset's lattice
+(m/(m+M) does not change under scaling), where m is an integer: it
+decides m >= t = ceil(r M / (1 - r)) with a sweep capped at t that stops
+at 1, so t <= 1 costs one range pass.  entropy_finite takes p = c / W.
+Other point sets are cleared to integers by linalg's _lattice first.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from operator import add, mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -128,21 +131,29 @@ def _coord_range(pts: Sequence[tuple[int, ...]]) -> int:
     return max(max(c) - min(c) for c in zip(*pts))
 
 
-def _sweep(pts: list[tuple[int, ...]]) -> tuple[int, int]:
-    """Minimum and maximum pairwise l-infinity distance of sorted distinct
-    integer points.  The maximum is _coord_range.  The minimum comes from a
-    sweep: the first-coordinate gap bounds the distance from below, so
-    each scan stops once it reaches the best."""
+def _pair_range(pts: list[tuple[int, ...]]) -> int:
+    """_coord_range of distinct points, after checking there are two."""
     if len(pts) < 2:
         raise TooFewPoints("need at least 2 distinct points, got %d" % len(pts))
-    M = m = _coord_range(pts)
+    return _coord_range(pts)
+
+
+def _sweep(pts: list[tuple[int, ...]], cap: int) -> int:
+    """min(cap, m) for the minimum pairwise l-infinity distance m of two or
+    more sorted distinct integer points.  A sweep: the first-coordinate gap
+    bounds the distance from below, so each scan stops once it reaches the
+    best so far, which starts at cap; and the sweep ends once the best is
+    1, since distinct integer points are never closer."""
+    m = cap
     for i, a in enumerate(pts):
         for j in range(i + 1, len(pts)):
+            if m == 1:
+                return 1
             b = pts[j]
             if b[0] - a[0] >= m:
                 break
             m = min(m, max(abs(x - y) for x, y in zip(a, b)))
-    return m, M
+    return m
 
 
 def _distinct(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
@@ -157,23 +168,27 @@ def _distinct(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
 def minmax_dist(points: Iterable) -> tuple[Fraction, Fraction]:
     """Minimum and maximum pairwise l-infinity distance of a point set."""
     pts, L = _distinct(points)
-    m, M = _sweep(pts)
-    return Q(m, L), Q(M, L)
+    M = _pair_range(pts)
+    return Q(_sweep(pts, M), L), Q(M, L)
 
 
 def open_set_check(r, points: Iterable) -> bool:
     """Sufficient condition r <= m/(m+M) for the contraction images of the
     point set to stay disjoint.  Single-point sets pass trivially.  The
     ratio is scale-free, so it is taken on the integer lattice, and a
-    FiniteDist's lattice may be passed for its points."""
+    FiniteDist's lattice may be passed for its points.  There m is an
+    integer, so the condition is m >= t = ceil(r M / (1 - r)): the sweep
+    is capped at t and only decides whether m reaches it.  Since m >= 1,
+    t <= 1 passes after the range pass alone, with no pair compared."""
     r = Q(r)
     if not (0 < r < 1):
         raise RatioOutOfRange("ratio must lie in (0,1), got %s" % (r,))
     pts = _distinct(points)[0]
     if len(pts) == 1:
         return True
-    m, M = _sweep(pts)
-    return r <= Q(m, m + M)
+    M = _pair_range(pts)
+    t = math.ceil(r * M / (1 - r))
+    return t <= M and _sweep(pts, t) >= t
 
 
 def entropy_finite(D: FiniteDist) -> float:
@@ -192,9 +207,14 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]]
     integers over L_A, and D_j is stored over L_D with counts over W_j, so
     an image A_j z is an integer dot product over L_A L_D; every image is
     scaled to the lcm L of those products, and the counts sum to
-    prod_j W_j.  The result is that lattice form; no Fraction is built.
-    CONVOLVE_CAP bounds the product of the support sizes before any work;
-    the fold's work grows with the sumset instead."""
+    prod_j W_j.  Each image y is packed into one int key sum_i y_i B^(d-1-i)
+    for a base B above the sumset's range in every coordinate: keys are
+    linear in y, so the fold adds ints, and no digit of a sum leaves its
+    range, so distinct sums get distinct keys that sort like the tuples.
+    The keys are unpacked once, after sorting.  The result is that lattice
+    form; no Fraction is built.  CONVOLVE_CAP bounds the product of the
+    support sizes before any work; the fold's work grows with the sumset
+    instead."""
     if not terms:
         raise InputError("convolution of no terms")
     out_dim = terms[0][0].rows
@@ -210,21 +230,29 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]]
                               % (size, CONVOLVE_CAP))
     rows = [_lattice(list(map(A.row, range(out_dim)))) for A, _ in terms]
     L = math.lcm(*(LA * D.L for (_, LA), (_, D) in zip(rows, terms)))
-    acc: dict[tuple[int, ...], int] = {(0,) * out_dim: 1}
+    images = [[tuple(L // (LA * D.L) * sum(map(mul, row, z)) for row in rows_A)
+               for z in D.lattice] for (rows_A, LA), (_, D) in zip(rows, terms)]
+    # the sumset's least and greatest coordinates: sums over the terms
+    lo = [sum(c) for c in zip(*(map(min, zip(*im)) for im in images))]
+    hi = [sum(c) for c in zip(*(map(max, zip(*im)) for im in images))]
+    B = 1 + max(map(sub, hi, lo), default=0)
+    powers = [B ** (out_dim - 1 - i) for i in range(out_dim)]
+    acc = {0: 1}
     total = 1
-    for (rows_A, LA), (_, D) in zip(rows, terms):
-        s = L // (LA * D.L)
-        images = [tuple(s * sum(map(mul, row, z)) for row in rows_A)
-                  for z in D.lattice]
-        merged: dict[tuple[int, ...], int] = {}
+    for im, (_, D) in zip(images, terms):
+        keys = [sum(map(mul, y, powers)) for y in im]
+        merged: dict[int, int] = {}
         for y, cy in acc.items():
-            for image, cz in zip(images, D.counts):
-                point = tuple(map(add, y, image))
+            for key, cz in zip(keys, D.counts):
+                point = y + key
                 merged[point] = merged.get(point, 0) + cy * cz
         acc = merged
         total *= D.W
-    pts = sorted(acc)
-    return FiniteDist.on_lattice(pts, L, [acc[p] for p in pts], total)
+    keys = sorted(acc)
+    base = sum(map(mul, lo, powers))
+    pts = [tuple((key - base) // b % B + x for b, x in zip(powers, lo))
+           for key in keys]
+    return FiniteDist.on_lattice(pts, L, [acc[key] for key in keys], total)
 
 
 def dim_subspace_sum(terms: Sequence[RatMatrix]) -> int:

@@ -63,6 +63,8 @@ class EstimatorConfig:
     ifs_depth: Optional[int] = None  # None = derive from k2 and the support
 
     def __post_init__(self):
+        _check_ints(n_samples=self.n_samples, k1=self.k1, k2=self.k2)
+        _check_ints(optional=True, ifs_depth=self.ifs_depth)
         if self.n_samples < 1:
             raise InputError("need at least one sample")
         if not (self.k2 > self.k1 >= 1):
@@ -87,6 +89,16 @@ def _check_seed(seed) -> None:
             or not 0 <= seed < 1 << 64:
         raise InputError("seed must be an integer in [0, 2^64), got %r"
                          % (seed,))
+
+
+def _check_ints(optional: bool = False, **values) -> None:
+    """Sample counts, resolutions, depths and dimensions are ints; a bool
+    or a float raises InputError.  With optional=True, None (an argument
+    left out) passes too."""
+    for name, x in values.items():
+        if not (optional and x is None) \
+                and (isinstance(x, bool) or not isinstance(x, int)):
+            raise InputError("%s must be an integer, got %r" % (name, x))
 
 
 def _generator(seed: int, user: int, batch: int) -> np.random.Generator:
@@ -183,7 +195,9 @@ def sample_scheme(scheme: Scheme, n: int, seed: int, *,
     channel's); self-similar series are truncated at ifs_depth terms
     (derived from k2 when not given), and a batch of more than
     _DRAW_LIMIT series terms is refused before any draw.  The seed must
-    be an int in [0, 2^64)."""
+    be an int in [0, 2^64), and n, M, ifs_depth and k2 ints."""
+    _check_ints(n=n)
+    _check_ints(optional=True, M=M, ifs_depth=ifs_depth, k2=k2)
     if n < 1:
         raise InputError("need at least one sample, got n=%d" % (n,))
     _check_seed(seed)

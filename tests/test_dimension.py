@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -130,6 +131,59 @@ def test_open_set_check():
     assert open_set_check(Q(9, 10), [5])          # single point: vacuous
     with pytest.raises(RatioOutOfRange):
         open_set_check(Q(1), [0, 1])
+
+
+def test_small_point_sets_keep_their_errors():
+    # the size is checked before the range pass, whose max() of no
+    # points would raise ValueError
+    with pytest.raises(TooFewPoints):
+        open_set_check(Q(1, 2), [])
+    with pytest.raises(TooFewPoints):
+        minmax_dist([])
+    assert open_set_check(Q(1, 2), [(3, 4)])
+    # a repeated point counts once
+    assert open_set_check(Q(9, 10), [(3, 4), (3, 4)])
+    with pytest.raises(TooFewPoints):
+        minmax_dist([(3, 4), (3, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_open_set_check_decides_like_the_distance_ratio(seed):
+    # the check decides m >= ceil(r M / (1 - r)) on the lattice without
+    # always measuring m; brute force measures it.  Few first coordinates
+    # in 2-D and 3-D put many points in one column of the sweep.
+    rng = random.Random(seed)
+    dim, den = rng.randint(1, 3), rng.choice([1, 1, 2, 3, 7])
+    firsts = (range(-30, 31) if dim == 1
+              else rng.sample(range(-5, 6), rng.randint(1, 3)))
+    n = rng.randint(2, 40)
+    lattice = set()
+    while len(lattice) < n:
+        lattice.add((rng.choice(firsts),)
+                    + tuple(rng.randint(-20, 20) for _ in range(dim - 1)))
+    pts = [tuple(Q(x, den) for x in p) for p in lattice]
+    dists = [max(abs(x - y) for x, y in zip(a, b))
+             for a, b in itertools.combinations(pts, 2)]
+    m, M = min(dists), max(dists)
+    edge = m / (m + M)
+    # at, just above and just below the threshold, and at or below
+    # 1/(M+1) on the lattice, where no pair needs comparing
+    for r in (edge, edge * Q(10 ** 6 + 1, 10 ** 6),
+              edge * Q(10 ** 6 - 1, 10 ** 6), 1 / (M * den + 1)):
+        assert open_set_check(r, pts) == (r <= edge)
+    assert minmax_dist(pts) == (m, M)
+
+
+def test_collinear_points_decide_in_milliseconds():
+    # 3000 points in one column of the sweep: an exact minimum by
+    # comparing pairs took seconds, the stop at distance 1 milliseconds
+    pts = [(0, y) for y in range(3000)]
+    start = time.perf_counter()
+    assert open_set_check(Q(1, 3000), pts)
+    assert not open_set_check(Q(1, 2), pts)
+    assert minmax_dist(pts) == (1, 2999)
+    assert time.perf_counter() - start < 2
 
 
 def test_point_sets_of_unequal_dimension_are_refused():
@@ -276,7 +330,12 @@ def test_convolve_linear_matches_product_enumeration(seed):
         D = FiniteDist.from_pairs([(p, Q(w, sum(weights)))
                                    for p, w in zip(pts, weights)])
         terms.append((A, D))
+    _assert_matches_product_enumeration(terms)
+
+
+def _assert_matches_product_enumeration(terms):
     out = convolve_linear(terms)
+    M = terms[0][0].rows
     expect = {}
     for combo in itertools.product(*[list(zip(D.points, D.probs))
                                      for _, D in terms]):
@@ -288,6 +347,37 @@ def test_convolve_linear_matches_product_enumeration(seed):
         expect[tuple(y)] = expect.get(tuple(y), Q(0)) + prob
     assert out.points == tuple(sorted(expect))
     assert out.probs == tuple(expect[y] for y in sorted(expect))
+
+
+def _term(rows, pairs):
+    return (RatMatrix.from_rows(rows), FiniteDist.from_pairs(pairs))
+
+
+BIG = 10 ** 30  # coordinates far past 2^64: keys are unbounded ints
+
+
+@pytest.mark.parametrize("terms", [
+    # coordinates beyond 2^64 of both signs
+    [_term([[BIG, -3 * BIG], [Q(-BIG, 7), 2]],
+           [((1, 2), Q(1, 2)), ((-1, 5), Q(1, 3)), ((0, -4), Q(1, 6))]),
+     _term([[-BIG], [Q(BIG, 3)]], [((2,), Q(1, 4)), ((-3,), Q(3, 4))])],
+    # a term whose images all coincide: zero range in every coordinate
+    [_term([[1, 1], [2, 2]], [((0, 2), Q(1, 3)), ((1, 1), Q(1, 3)),
+                              ((2, 0), Q(1, 3))]),
+     _term([[1], [-1]], [((0,), Q(1, 2)), ((3,), Q(1, 2))])],
+    # a zero-column term on the one empty point
+    [_term([[], []], [((), Q(1))]),
+     _term([[1, 2], [3, -1]], [((0, 1), Q(1, 2)), ((1, 0), Q(1, 2))])],
+    # three terms in 3-D, with merges
+    [_term([[1, 0, 2], [0, 1, -1], [1, 1, 0]],
+           [((0, 0, 1), Q(1, 4)), ((1, 0, 0), Q(1, 4)),
+            ((0, 1, 0), Q(1, 2))]),
+     _term([[1, 0], [0, 1], [Q(1, 2), 0]],
+           [((1, 1), Q(1, 3)), ((2, 0), Q(2, 3))]),
+     _term([[-1], [1], [0]], [((0,), Q(1, 5)), ((1,), Q(4, 5))])],
+])
+def test_packed_fold_matches_product_enumeration(terms):
+    _assert_matches_product_enumeration(terms)
 
 
 # ------------------------------------------------------------ three rules

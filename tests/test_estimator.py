@@ -47,6 +47,36 @@ def test_config_validation():
         EstimatorConfig(n_samples=10, k1=3, k2=3, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+@pytest.mark.parametrize("field", ["n_samples", "k1", "k2", "ifs_depth"])
+def test_config_refuses_arguments_that_are_not_integers(field, bad):
+    # a float or bool passed the range checks and failed, or counted as
+    # 1, later; a string failed the comparison with TypeError
+    kwargs = dict(n_samples=10, k1=1, k2=3, seed=0)
+    kwargs[field] = bad
+    with pytest.raises(InputError, match="%s must be an integer" % field):
+        EstimatorConfig(**kwargs)
+
+
+MIX = MixtureScheme((Q(1, 2),))
+
+
+@pytest.mark.parametrize("name, scheme, n, kwargs", [
+    ("ifs_depth", CANTOR, 5, dict(ifs_depth=2.5)),
+    ("ifs_depth", CANTOR, 5, dict(ifs_depth=True)),
+    ("k2", CANTOR, 5, dict(k2=2.5)),
+    ("k2", CANTOR, 5, dict(k2=True)),
+    ("M", MIX, 5, dict(M=1.5)),
+    ("M", MIX, 5, dict(M=True)),
+    ("n", MIX, 2.5, dict(M=1)),
+    ("n", MIX, True, dict(M=1)),
+])
+def test_sampling_refuses_arguments_that_are_not_integers(name, scheme, n,
+                                                          kwargs):
+    with pytest.raises(InputError, match="%s must be an integer" % name):
+        sample_scheme(scheme, n, 0, **kwargs)
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.0, True, "1"])
 def test_seeds_outside_the_key_domain_are_refused(seed):
     # a seed is one Philox key word, an int in [0, 2^64); masking others
