@@ -6,25 +6,23 @@ stays at O(1) bits per receiver and the normalized DoF falls like 1/k
 (on ex1 with N=1: 0.1252, 0.1050, 0.0911 at k = 8, 9, 10).
 
 Pipeline: size a dyadic grid from the channel (grid_build), put an i.i.d.
-uniform codeword distribution on grid-valued M x N codewords, fold each
-codeword into a single vector W = sum_n r^{n-1} x^{(n)} with r = 2^{-k}
-(fold_codewords), and lift the folded distribution to a self-similar
-input with ratio r^N (lift_selfsimilar).  constructed_dof checks that the
-scheme's ratio is r^N and hands it to dof_eval, whose entropy-ratio rule
-gives the per-receiver ratios H(sumset)/(N k) exactly and re-verifies
-every sumset against the contraction sufficient condition rather than
-trusting the sizing chain that motivated the grid.
+uniform distribution on the grid box of M x N codewords, fold each
+codeword into W = sum_n r^{n-1} x^{(n)} with r = 2^{-k} (fold_codewords;
+box and fold are each one convolve_linear), and lift the result to a
+self-similar input with ratio r^N (lift_selfsimilar).  constructed_dof
+checks that the scheme's ratio is r^N and hands it to dof_eval, whose
+entropy-ratio rule gives the per-receiver ratios H(sumset)/(N k)
+exactly and re-verifies every sumset against the contraction sufficient
+condition rather than trusting the sizing chain that motivated the grid.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dimension import (CONVOLVE_CAP, convolve_linear, minmax_dist,
-                        open_set_check)
+from .dimension import CONVOLVE_CAP, convolve_linear, minmax_dist
 from .engine import DofReport, dof_eval
 from .errors import (
     ConditionViolated,
@@ -34,6 +32,7 @@ from .errors import (
     ResolutionTooCoarse,
     SupportTooLarge,
     TooFewPoints,
+    _check_ints,
 )
 from .linalg import ChannelMatrix, RatMatrix, _over_lcm
 from .schemes import FiniteDist, SelfSimilarScheme
@@ -48,7 +47,8 @@ class ConstructionParams:
     used.  k > p is structural; the sizing inequality 2^{-p} <= 1/(8KM
     H_max) is grid_build's postcondition, not re-checked here, so
     hand-built params can explore finer grids than the sizing allows
-    (all downstream safety comes from direct sumset checks)."""
+    (all downstream safety comes from direct sumset checks).  k, p and N
+    must be ints; a float or a bool raises InputError."""
 
     k: int
     p: int
@@ -56,6 +56,7 @@ class ConstructionParams:
     H_max: Fraction
 
     def __post_init__(self):
+        _check_ints(k=self.k, p=self.p, N=self.N)
         if self.k < 1 or self.p < 1 or self.N < 1:
             raise InputError("k, p, N must be positive integers")
         if self.k <= self.p:
@@ -106,22 +107,31 @@ def grid_build(H: ChannelMatrix, k: int, N: int = 1
     return params, tuple(t * step for t in range(2 ** (k - p) + 1))
 
 
+def _exceeds_cap(base: int, exponent: int) -> bool:
+    """base^exponent > CONVOLVE_CAP for exponent >= 1, decided before a
+    long power is formed: for base >= 2 it is at least 2^exponent."""
+    return base >= 2 and (exponent >= CONVOLVE_CAP.bit_length()
+                          or base ** exponent > CONVOLVE_CAP)
+
+
 def uniform_codewords(grid: Sequence, K: int, M: int, N: int
                       ) -> tuple[FiniteDist, ...]:
-    """The default multi-letter input: i.i.d. uniform over the grid in
-    every one of the M*N codeword entries, identical across users (FiniteDist
-    refuses an empty or repeating grid).  The fold is injective, so each
-    receiver's full sumset convolves K supports of n_points each, and a
-    product n_points^K over CONVOLVE_CAP is refused before any codeword."""
-    n_points = len(grid) ** (M * N)
-    if n_points > CONVOLVE_CAP:
-        raise SupportTooLarge("codeword support of %d points exceeds cap %d"
-                              % (n_points, CONVOLVE_CAP))
-    if n_points ** K > CONVOLVE_CAP:
+    """The default multi-letter input: i.i.d. uniform over the grid (not
+    empty, no repeats) in each of the M*N codeword entries, identical
+    across users.  Its support, the box grid^{MN} in lexicographic order,
+    is one convolve_linear of the grid through the M*N unit columns.  A
+    full sumset product |grid|^{MNK} over CONVOLVE_CAP is refused first."""
+    _check_ints(K=K, M=M, N=N)
+    if min(K, M, N) < 1:
+        raise InputError("K, M, N must be positive, got %d, %d, %d"
+                         % (K, M, N))
+    if _exceeds_cap(len(grid), K * M * N):
         raise SupportTooLarge("full sumset product of %d^%d points exceeds "
-                              "cap %d" % (n_points, K, CONVOLVE_CAP))
-    dist = FiniteDist.uniform(tuple(itertools.product(grid, repeat=M * N)))
-    return tuple(dist for _ in range(K))
+                              "cap %d" % (len(grid), K * M * N, CONVOLVE_CAP))
+    box = FiniteDist.uniform(grid)
+    dist = convolve_linear([(RatMatrix.from_columns([e]), box)
+                            for e in RatMatrix.identity(M * N).to_rows()])
+    return (dist,) * K
 
 
 def fold_codewords(codeword_dists: Sequence[FiniteDist],
@@ -129,9 +139,9 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
     """Push each user's codeword distribution through the linear folding
     map W = sum_{n=1..N} r^{n-1} x^{(n)} = [I, rI, ..., r^{N-1}I] x
     (codeword entries laid out letter by letter) with convolve_linear.
-    Folding is injective whenever r <= m/(m+M) for the set of
-    codeword entry values; that condition is checked per user and a
-    failure refuses rather than silently merging codewords."""
+    The fold must be injective, which holds exactly when the folded
+    support has as many points as the codewords; one that merges
+    codewords is refused with OpenSetUnverified rather than returned."""
     r = params.r
     N = params.N
     out = []
@@ -140,17 +150,12 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
             raise InputError("user %d codewords have %d entries, not a "
                              "multiple of N=%d" % (u + 1, dist.dim, N))
         M = dist.dim // N
-        values = {x for pt in dist.lattice for x in pt}
-        if not open_set_check(r, values):
-            raise OpenSetUnverified(
-                "user %d: folding injectivity not certified for r=%s"
-                % (u + 1, r))
         F = RatMatrix.hstack([RatMatrix.identity(M).scale(r ** n)
                               for n in range(N)])
         folded = convolve_linear([(F, dist)])
-        if len(folded.lattice) != len(dist.lattice):  # certified above
-            raise InvariantViolated("user %d: folding is not injective"
-                                    % (u + 1,))
+        if len(folded.lattice) != len(dist.lattice):
+            raise OpenSetUnverified("user %d: folding at r=%s merges "
+                                    "codewords" % (u + 1, r))
         out.append(folded)
     return tuple(out)
 
@@ -176,26 +181,32 @@ def constructed_dof(H: ChannelMatrix, scheme: SelfSimilarScheme,
 
 
 def minkowski_check(V: Sequence, r, ell: int) -> tuple[Fraction, int]:
-    """Enumerate V + rV + ... + r^{ell-1}V exactly and return its minimum
-    distance and cardinality.  Requires r <= m(V)/(m(V)+M(V)); under that
-    condition the sum has |V|^ell distinct points with minimum distance at
-    least r^{ell-1} m(V), and both facts are checked on the enumeration."""
+    """Minimum distance and cardinality of V + rV + ... + r^{ell-1}V, one
+    convolve_linear of the uniform V through the 1x1 terms [[r^t]]; over
+    CONVOLVE_CAP points it is refused before any term.  Requires r <=
+    m(V)/(m(V)+M(V)), under which the sum has |V|^ell points at distance
+    >= r^{ell-1} m(V); both facts are checked on the enumeration."""
     vals = sorted({Q(v) for v in V})
     if len(vals) < 2:
         raise TooFewPoints("need at least 2 distinct values, got %d"
                            % len(vals))
+    _check_ints(ell=ell)
     if ell < 1:
         raise InputError("ell must be at least 1")
+    if _exceeds_cap(len(vals), ell):
+        raise SupportTooLarge("Minkowski sum of %d^%d points exceeds cap %d"
+                              % (len(vals), ell, CONVOLVE_CAP))
     r = Q(r)
     m, M = minmax_dist(vals)
     if not (0 < r < 1) or r > Q(m, m + M):
         raise ConditionViolated(
             "r=%s exceeds the injectivity threshold m/(m+M)=%s"
             % (r, Q(m, m + M)))
-    sums = sorted({
-        sum((r ** t * combo[t] for t in range(ell)), Q(0))
-        for combo in itertools.product(vals, repeat=ell)})
-    min_dist = min(b - a for a, b in zip(sums, sums[1:]))
+    V = FiniteDist.uniform(vals)
+    S = convolve_linear([(RatMatrix.from_rows([[r ** t]]), V)
+                         for t in range(ell)])
+    sums = [x for (x,) in S.lattice]
+    min_dist = Q(min(b - a for a, b in zip(sums, sums[1:])), S.L)
     if min_dist < r ** (ell - 1) * m or len(sums) != len(vals) ** ell:
         raise InvariantViolated(
             "Minkowski sum has %d points at distance %s; expected %d at "

@@ -1,4 +1,5 @@
-"""Exception taxonomy.
+"""Exception taxonomy, plus the integer-argument check that raises
+InputError for the library's entry points.
 
 Two bases matter for the CLI: InputError maps to exit code 2 (the request
 itself is malformed), AnalysisError maps to exit code 1 (the request is
@@ -105,3 +106,13 @@ class ConditionViolated(AnalysisError):
 class InvariantViolated(AnalysisError):
     """A result failed an internal consistency check; it is refused rather
     than returned.  Raised explicitly so the check survives python -O."""
+
+
+def _check_ints(optional: bool = False, **values) -> None:
+    """Sample counts, resolutions, depths and dimensions are ints; a bool
+    or a float raises InputError.  With optional=True, None (an argument
+    left out) passes too."""
+    for name, x in values.items():
+        if not (optional and x is None) \
+                and (isinstance(x, bool) or not isinstance(x, int)):
+            raise InputError("%s must be an integer, got %r" % (name, x))

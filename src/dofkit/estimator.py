@@ -37,7 +37,7 @@ import numpy as np
 
 from .dimension import DimValue, _coord_range
 from .engine import DofReport, assemble_report
-from .errors import InputError, InvariantViolated
+from .errors import InputError, InvariantViolated, _check_ints
 from .linalg import ChannelMatrix, _over_lcm
 from .schemes import (
     MixtureScheme,
@@ -89,16 +89,6 @@ def _check_seed(seed) -> None:
             or not 0 <= seed < 1 << 64:
         raise InputError("seed must be an integer in [0, 2^64), got %r"
                          % (seed,))
-
-
-def _check_ints(optional: bool = False, **values) -> None:
-    """Sample counts, resolutions, depths and dimensions are ints; a bool
-    or a float raises InputError.  With optional=True, None (an argument
-    left out) passes too."""
-    for name, x in values.items():
-        if not (optional and x is None) \
-                and (isinstance(x, bool) or not isinstance(x, int)):
-            raise InputError("%s must be an integer, got %r" % (name, x))
 
 
 def _generator(seed: int, user: int, batch: int) -> np.random.Generator:

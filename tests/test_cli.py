@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import shlex
@@ -139,6 +140,21 @@ def test_construct_command(files, capsys):
     assert obj["report"]["method"] == "entropy-ratio"
     # regression pin on the achieved value for this exact instance
     assert obj["report"]["total"]["value"] == "0.22571715857893748"
+
+
+@pytest.mark.parametrize("k, digest", [
+    ("8", "88987a575613ca7608f01b8998f19861b6c16b58346223fdb3b994ab4d4b41f7"),
+    ("9", "a7a1e8c8c3547f93e6a6f6014a7e36a7611dbed3b1d39d28befca39ef2fe6fca"),
+    ("10", "301e87ccad3b71eea4b25cd8f28e0f62a4c800ec85864a2b199f1ee1d0753d86"),
+])
+def test_construct_stdout_on_ex1_is_frozen(files, capsys, k, digest):
+    # SHA-256 of the whole stdout (params, scheme JSON and report) for
+    # ex1 (K=3, M=2) at N=1, frozen from the product-enumeration
+    # constructor
+    code, out, _ = run(capsys, "construct", "--channel", files["ex1.json"],
+                       "--N", "1", "--k", k)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_rejects_coarse_resolution(files, capsys):

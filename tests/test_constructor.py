@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -22,7 +23,7 @@ from dofkit import (
     minkowski_check,
     uniform_codewords,
 )
-from dofkit.dimension import CONVOLVE_CAP
+from dofkit.dimension import CONVOLVE_CAP, convolve_linear
 from dofkit.examples import ex1
 from dofkit.errors import (
     ConditionViolated,
@@ -56,6 +57,20 @@ def test_params_validation():
         ConstructionParams(k=3, p=3, N=1, H_max=1)
     with pytest.raises(InputError):
         ConstructionParams(k=4, p=0, N=1, H_max=1)
+
+
+@pytest.mark.parametrize("k, p, N", [(8.0, 3, 1), (8, True, 1), (8, 3, 2.0),
+                                     (8, 3, True), ("8", 3, 1)])
+def test_params_refuse_arguments_that_are_not_integers(k, p, N):
+    with pytest.raises(InputError):
+        ConstructionParams(k=k, p=p, N=N, H_max=1)
+
+
+@pytest.mark.parametrize("k, N", [(8.0, 1), (8, 1.0), (8, True)])
+def test_grid_build_refuses_arguments_that_are_not_integers(k, N):
+    H, _ = ex1()
+    with pytest.raises(InputError):
+        grid_build(H, k, N)
 
 
 def test_clear_to_integers():
@@ -162,6 +177,36 @@ def test_uniform_codewords_refuses_full_sumset_product_up_front():
         uniform_codewords(grid, 3, 1, 1)
 
 
+def test_uniform_codewords_is_the_product_box():
+    # the convolved box equals the product enumeration of the grid,
+    # point for point and in the same (lexicographic) order
+    rng = random.Random(5)
+    for _ in range(40):
+        M, N = rng.randint(1, 2), rng.randint(1, 2)
+        grid = tuple(sorted({Q(rng.randint(-8, 8), rng.randint(1, 6))
+                             for _ in range(rng.randint(1, 4))}))
+        box = FiniteDist.uniform(tuple(itertools.product(grid,
+                                                         repeat=M * N)))
+        assert uniform_codewords(grid, 2, M, N) == (box, box)
+    # an unsorted grid gets its codewords in point order as well
+    assert uniform_codewords((1, 0), 1, 1, 2)[0].lattice == \
+        ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("K, M, N", [(0, 1, 1), (1, 0, 1), (1, 1, 0),
+                                     (-1, 2, 1), (2.0, 1, 1), (2, True, 1)])
+def test_uniform_codewords_refuses_sizes_below_one_or_not_integers(K, M, N):
+    with pytest.raises(InputError):
+        uniform_codewords((Q(0), Q(1)), K, M, N)
+
+
+def test_uniform_codewords_refuses_long_powers_by_bit_length():
+    # 3^(2*1*10^5) has 95,425 digits: refused without forming it, and
+    # the message names the power rather than printing it
+    with pytest.raises(SupportTooLarge, match=r"3\^200000 points"):
+        uniform_codewords((0, 1, 2), 2, 1, 10 ** 5)
+
+
 def fold_reference(dist, r, N):
     """W = sum_n r^n x^(n) codeword by codeword over Fractions, merging
     equal images by adding probabilities: an oracle independent of the
@@ -197,10 +242,22 @@ def test_fold_codewords_matches_fraction_reference():
 
 
 def test_fold_refuses_overlapping_grid():
+    # N=1 folds by the identity, so the tight grid passes the fold; its
+    # sumsets are what the contraction check refuses
     params = ConstructionParams(k=2, p=1, N=1, H_max=1)
     tight = (Q(0), Q(1, 64), Q(1))  # min gap far below 1/4
-    cw = uniform_codewords(tight, 2, 1, 1)
-    with pytest.raises(OpenSetUnverified):
+    folded = fold_codewords(uniform_codewords(tight, 2, 1, 1), params)
+    scheme = lift_selfsimilar(folded, params)
+    with pytest.raises(OpenSetUnverified, match="receiver 1 full sumset"):
+        constructed_dof(TWO_USER, scheme, params)
+    # N=2 at r = 1/4: x1 + x2/4 on the grid of quarters merges 25
+    # codewords into 21 points (1/4 + 0/4 = 0 + 1/4, ...)
+    quarters = tuple(Q(t, 4) for t in range(5))
+    params = ConstructionParams(k=2, p=1, N=2, H_max=1)
+    cw = uniform_codewords(quarters, 2, 1, 2)
+    F = RatMatrix.from_rows([[1, params.r]])
+    assert len(convolve_linear([(F, cw[0])]).lattice) == 21
+    with pytest.raises(OpenSetUnverified, match="merges codewords"):
         fold_codewords(cw, params)
 
 
@@ -305,6 +362,36 @@ def test_minkowski_check_guards():
         minkowski_check([5], Q(1, 3), 2)
     with pytest.raises(InputError):
         minkowski_check([0, 1], Q(1, 3), 0)
+
+
+def test_minkowski_check_matches_fraction_enumeration():
+    rng = random.Random(13)
+    for _ in range(60):
+        V = sorted({Q(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(rng.randint(2, 5))})
+        if len(V) < 2:
+            continue
+        gaps = [b - a for a, b in zip(V, V[1:])]
+        m, M = min(gaps), V[-1] - V[0]
+        r = Q(m, m + M) / rng.randint(1, 3)
+        ell = rng.randint(1, 3)
+        sums = sorted({sum((r ** t * c[t] for t in range(ell)), Q(0))
+                       for c in itertools.product(V, repeat=ell)})
+        assert minkowski_check(V, r, ell) == \
+            (min(b - a for a, b in zip(sums, sums[1:])), len(sums))
+
+
+def test_minkowski_check_refuses_sums_over_the_cap_up_front():
+    # 1001^2 sums just exceed 10^6; they, 100^4 = 10^8 and 2^(10^9) are
+    # refused before any term is built
+    with pytest.raises(SupportTooLarge):
+        minkowski_check(range(1001), Q(1, 1001), 2)
+    with pytest.raises(SupportTooLarge, match=r"100\^4 points"):
+        minkowski_check(range(100), Q(1, 10 ** 6), 4)
+    with pytest.raises(SupportTooLarge):
+        minkowski_check([0, 1], Q(1, 3), 10 ** 9)
+    with pytest.raises(InputError):
+        minkowski_check([0, 1], Q(1, 3), 2.0)
 
 
 def test_invariant_checks_survive_python_O():
