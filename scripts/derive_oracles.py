@@ -325,6 +325,35 @@ def main() -> None:
     print("   total bits:", math.fsum(hf - hi for hf, hi in bits).hex(),
           " log2(1/r) = 8.0")
 
+    print("\n== ex1, k=11, N=1 (tests/test_constructor.py, tests/test_cli.py) ==")
+    # p = 7 again, so the grid is {0, 1/16, ..., 1} per coordinate: on the
+    # integer lattice the codewords are the 17 x 17 box {0..16}^2, and each
+    # sumset is a dict fold of integer counts, one user at a time.  Distinct
+    # lattice points are at distance m >= 1, so r = 2^-11 <= m/(m+M) holds
+    # whenever the sumset's range M is at most 2^11 - 1.
+    box11 = list(itertools.product(range(17), repeat=2))
+    for i in range(3):
+        per = []
+        for users in (range(3), [j for j in range(3) if j != i]):
+            dist = {(0, 0): 1}
+            for j in users:
+                A = block(i, j)
+                step = {}
+                for y, c in dist.items():
+                    for w in box11:
+                        z = (y[0] + A[0][0] * w[0] + A[0][1] * w[1],
+                             y[1] + A[1][0] * w[0] + A[1][1] * w[1])
+                        step[z] = step.get(z, 0) + c
+                dist = step
+            W = 17 ** (2 * len(users))
+            Mx = max(max(c) - min(c) for c in zip(*dist))
+            per.append((len(dist), entropy_bits(Fraction(c, W)
+                                                for c in dist.values()), Mx))
+        print("   rx%d: |full| = %d  H_full = %r  |interference| = %d  "
+              "H_int = %r  ranges %d, %d (open set: both < 2^11)"
+              % (i + 1, per[0][0], per[0][1], per[1][0], per[1][1],
+                 per[0][2], per[1][2]))
+
     print("\n== geometric sumset minimum distances ==")
     for pts, rr, ell, in ((grid, Fraction(1, 16), 2), ([Fraction(0), Fraction(2)], Fraction(1, 2), 3)):
         sums = {math.fsum([])}  # placeholder replaced below

@@ -19,6 +19,8 @@ and returns that form.  open_set_check works on the sumset's lattice
 decides m >= t = ceil(r M / (1 - r)) with a sweep capped at t that stops
 at 1, so t <= 1 costs one range pass.  entropy_finite takes p = c / W.
 Other point sets are cleared to integers by linalg's _lattice first.
+Sizes are decided only here: CONVOLVE_CAP caps each fold step's work
+and, through _check_power, the base^exponent points a builder enumerates.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ from .schemes import FiniteDist
 Q = Fraction
 
 CONVOLVE_CAP = 10 ** 6
+
+
+def _check_power(what: str, base: int, exponent: int,
+                 unit: str = "points") -> None:
+    """Raise SupportTooLarge when base^exponent, exponent >= 1, exceeds
+    CONVOLVE_CAP; since base >= 2 gives at least 2^exponent, a long power
+    is never formed."""
+    if base >= 2 and (exponent >= CONVOLVE_CAP.bit_length()
+                      or base ** exponent > CONVOLVE_CAP):
+        raise SupportTooLarge("%s of %d^%d %s exceeds cap %d"
+                              % (what, base, exponent, unit, CONVOLVE_CAP))
 
 
 @dataclass(frozen=True)
@@ -158,10 +171,12 @@ def _sweep(pts: list[tuple[int, ...]], cap: int) -> int:
 
 def _distinct(points: Iterable) -> tuple[list[tuple[int, ...]], int]:
     """The distinct points, sorted, as integer tuples over their common
-    denominator L.  Integer tuples (a FiniteDist's lattice) pass as they
-    are; other points are read as rationals first."""
-    pts, L = _lattice([p if type(p) is tuple and all(type(x) is int for x in p)
-                       else _vec(p) for p in points])
+    denominator L.  Int tuples of one length (a FiniteDist's lattice) are
+    read as they are, with L = 1; any other set is read as rationals."""
+    pts, L = list(points), 1
+    if not all(type(p) is tuple and len(p) == len(pts[0])
+               and all(type(x) is int for x in p) for p in pts):
+        pts, L = _lattice(list(map(_vec, pts)))
     return sorted(set(pts)), L
 
 
@@ -212,9 +227,8 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]]
     linear in y, so the fold adds ints, and no digit of a sum leaves its
     range, so distinct sums get distinct keys that sort like the tuples.
     The keys are unpacked once, after sorting.  The result is that lattice
-    form; no Fraction is built.  CONVOLVE_CAP bounds the product of the
-    support sizes before any work; the fold's work grows with the sumset
-    instead."""
+    form; no Fraction is built.  A fold step whose work, |points so far|
+    x |D_j|, exceeds CONVOLVE_CAP is refused before it runs."""
     if not terms:
         raise InputError("convolution of no terms")
     out_dim = terms[0][0].rows
@@ -224,10 +238,6 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]]
         if A.cols != D.dim:
             raise DimMismatch("matrix takes dimension %d, support has %d"
                               % (A.cols, D.dim))
-    size = math.prod(len(D.lattice) for _, D in terms)
-    if size > CONVOLVE_CAP:
-        raise SupportTooLarge("product support of %d points exceeds cap %d"
-                              % (size, CONVOLVE_CAP))
     rows = [_lattice(list(map(A.row, range(out_dim)))) for A, _ in terms]
     L = math.lcm(*(LA * D.L for (_, LA), (_, D) in zip(rows, terms)))
     images = [[tuple(L // (LA * D.L) * sum(map(mul, row, z)) for row in rows_A)
@@ -240,6 +250,9 @@ def convolve_linear(terms: Sequence[tuple[RatMatrix, FiniteDist]]
     acc = {0: 1}
     total = 1
     for im, (_, D) in zip(images, terms):
+        if len(acc) * len(im) > CONVOLVE_CAP:
+            raise SupportTooLarge("fold step of %d x %d points exceeds cap %d"
+                                  % (len(acc), len(im), CONVOLVE_CAP))
         keys = [sum(map(mul, y, powers)) for y in im]
         merged: dict[int, int] = {}
         for y, cy in acc.items():

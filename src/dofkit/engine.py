@@ -402,10 +402,13 @@ class StandardForm:
     d: Fraction
 
 
+# the (row, column) positions, from 0, of the standard form's five ones
+STANDARD_ONES = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0))
+
+
 def standardize_3user(A: RatMatrix) -> StandardForm:
     """Deterministic row/column scalings taking a fully connected 3x3
-    matrix to the standard one-pattern (ones at positions (1,2), (1,3),
-    (2,1), (2,3), (3,1))."""
+    matrix to the standard one-pattern [[a,1,1],[1,b,1],[1,d,c]]."""
     if (A.rows, A.cols) != (3, 3):
         raise DimMismatch("standard form is defined for 3x3 matrices")
     h = A.to_rows()
@@ -421,7 +424,7 @@ def standardize_3user(A: RatMatrix) -> StandardForm:
     cols = (c1, c2, c3)
     S = RatMatrix.from_rows(
         [[rows[i] * h[i][j] * cols[j] for j in range(3)] for i in range(3)])
-    for (i, j) in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0)):
+    for (i, j) in STANDARD_ONES:
         if S.at(i, j) != 1:  # scalings above force the one-pattern
             raise InvariantViolated(
                 "standard form entry (%d, %d) is %s, not 1"
@@ -436,8 +439,7 @@ def is_standard_form(A: RatMatrix) -> bool:
         return False
     if any(x == 0 for x in A.entries):
         return False
-    return all(A.at(i, j) == 1
-               for (i, j) in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0)))
+    return all(A.at(i, j) == 1 for (i, j) in STANDARD_ONES)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .engine import (
     StrictnessClaim,
     complex_stack,
 )
-from .errors import InputError
+from .errors import InputError, _check_ints
 from .linalg import ChannelMatrix, DerangementCert, RatMatrix, Subspace
 from .schemes import (
     FiniteDist,
@@ -52,8 +52,7 @@ def parse_rat(s: Any) -> Fraction:
 def parse_int(obj: Any, what: str) -> int:
     """obj itself when it is a JSON integer.  Booleans, other numbers and
     strings raise InputError rather than being truncated or passed on."""
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise InputError("%s must be an integer, got %r" % (what, obj))
+    _check_ints(**{what: obj})
     return obj
 
 

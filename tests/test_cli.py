@@ -146,11 +146,14 @@ def test_construct_command(files, capsys):
     ("8", "88987a575613ca7608f01b8998f19861b6c16b58346223fdb3b994ab4d4b41f7"),
     ("9", "a7a1e8c8c3547f93e6a6f6014a7e36a7611dbed3b1d39d28befca39ef2fe6fca"),
     ("10", "301e87ccad3b71eea4b25cd8f28e0f62a4c800ec85864a2b199f1ee1d0753d86"),
+    ("11", "5a30fec20dfccb6a3742b0be3eb0679f657e71575061ae35756fce643ebca118"),
 ])
 def test_construct_stdout_on_ex1_is_frozen(files, capsys, k, digest):
     # SHA-256 of the whole stdout (params, scheme JSON and report) for
     # ex1 (K=3, M=2) at N=1, frozen from the product-enumeration
-    # constructor
+    # constructor for k <= 10; k=11, whose product of supports is over
+    # the cap, is frozen from the step-capped fold, and its entropies are
+    # the oracle's (test_constructor.py::test_constructed_dof_ex1_at_k11)
     code, out, _ = run(capsys, "construct", "--channel", files["ex1.json"],
                        "--N", "1", "--k", k)
     assert code == 0

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -166,15 +167,25 @@ def test_fold_codewords():
     assert vals == {a + b * Q(1, 16) for a in grid for b in grid}
 
 
-def test_uniform_codewords_refuses_full_sumset_product_up_front():
-    # 1000 codeword points fit the cap of 10^6, and so does K=2's full
-    # sumset product 1000^2; K=3's 1000^3 is refused before any codeword
-    # is built
-    grid = tuple(Q(t) for t in range(1000))
+def test_uniform_codewords_caps_only_the_box_it_builds():
+    # the codeword box |grid|^(MN) is capped, not a sumset over K users:
+    # a 1001-point grid at M*N = 2 (1001^2 points) is refused before any
+    # codeword is built, and the 1000-point grid at K=3 is accepted
     assert CONVOLVE_CAP == 10 ** 6
-    assert len(uniform_codewords(grid, 2, 1, 1)[0].points) == 1000
-    with pytest.raises(SupportTooLarge):
-        uniform_codewords(grid, 3, 1, 1)
+    with pytest.raises(SupportTooLarge, match=r"1001\^2 points"):
+        uniform_codewords(tuple(range(1001)), 2, 1, 2)
+    grid = tuple(Q(t) for t in range(1000))
+    assert len(uniform_codewords(grid, 3, 1, 1)[0].points) == 1000
+
+
+def test_uniform_codewords_refuses_long_unit_columns_at_once():
+    # a one-point grid has a one-point box, but its M*N unit columns hold
+    # (M*N)^2 entries: 1001^2 is refused before the identity is built
+    start = time.perf_counter()
+    with pytest.raises(SupportTooLarge, match=r"1001\^2 entries"):
+        uniform_codewords((0,), 1, 1, 1001)
+    assert time.perf_counter() - start < 1
+    assert uniform_codewords((0,), 2, 3, 4)[0].lattice == ((0,) * 12,)
 
 
 def test_uniform_codewords_is_the_product_box():
@@ -201,9 +212,9 @@ def test_uniform_codewords_refuses_sizes_below_one_or_not_integers(K, M, N):
 
 
 def test_uniform_codewords_refuses_long_powers_by_bit_length():
-    # 3^(2*1*10^5) has 95,425 digits: refused without forming it, and
-    # the message names the power rather than printing it
-    with pytest.raises(SupportTooLarge, match=r"3\^200000 points"):
+    # the box 3^(1*10^5) has 47,713 digits: refused without forming it,
+    # and the message names the power rather than printing it
+    with pytest.raises(SupportTooLarge, match=r"3\^100000 points"):
         uniform_codewords((0, 1, 2), 2, 1, 10 ** 5)
 
 
@@ -300,6 +311,25 @@ def test_constructed_dof_frozen_two_dimensional_instance():
                     ("0x1.67b27a69932bap+2", "0x1.3b0c89d198a12p+2")]
     assert rep.total.entropy_bits.hex() == "0x1.005626e1b8a0ap+1"
     assert rep.total.log2_inv_ratio == 8.0
+
+
+def test_constructed_dof_ex1_at_k11():
+    # p=7 and a grid of 17 per coordinate: the largest sumset has 4209
+    # points, folded step by step under the cap (the product of the three
+    # 289-point supports, 24137569, exceeds it).  Oracle: a dict fold of
+    # integer counts over {0..16}^2 (scripts/derive_oracles.py)
+    H, _ = ex1()
+    params, grid, scheme, rep = build_chain(H, k=11)
+    assert (params.p, len(grid)) == (7, 17)
+    assert [(t.full_dim.entropy_bits, t.interference_dim.entropy_bits)
+            for t in rep.per_receiver] == [
+        (10.393280453650076, 9.785766579468502),
+        (10.951641235424448, 10.339212759684015),
+        (10.817060870574155, 10.242330901545857)]
+    assert [len(convolve_linear([(H.block(i, j), scheme.supports[j])
+                                 for j in range(3)]).lattice)
+            for i in range(3)] == [2913, 4209, 3697]
+    assert rep.normalized == 0.08157601449774111
 
 
 def test_exact_path_reads_no_fraction_view(monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -99,6 +100,12 @@ def test_minmax_dist_vectors():
     pts = [(0, 0), (1, 0), (0, 3)]
     m, M = minmax_dist(pts)
     assert m == 1 and M == 3  # sup-norm distances
+    # int tuples are read as they are, in any order and with repeats; a
+    # bool or a Fraction sends the whole set down the rational path
+    for same in ([(0, 3), (1, 0), (0, 0), (1, 0)], [(True, 0), (0, 0), (0, 3)],
+                 [(Q(1), 0), (0, 0), (0, 3)]):
+        assert minmax_dist(same) == (1, 3)
+    assert minmax_dist([(0, 0), (Q(1, 2), 0), (0, 3)]) == (Q(1, 2), 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,6 +198,12 @@ def test_point_sets_of_unequal_dimension_are_refused():
         minmax_dist([(0,), (1, 5)])
     with pytest.raises(DimMismatch):
         open_set_check(Q(1, 2), [(0, 0), (1,), (3, 9)])
+    # int tuples whose lengths differ after the first, and bools
+    for pts in ([(0, 5), (1, 5), (2,)], [(True,), (1, 5)], [(0, False), (1,)]):
+        with pytest.raises(DimMismatch):
+            minmax_dist(pts)
+        with pytest.raises(DimMismatch):
+            open_set_check(Q(1, 2), pts)
 
 
 # ----------------------------------------------------------- exact entropy
@@ -268,11 +281,27 @@ def test_convolve_linear_vector_map():
 
 
 def test_convolve_linear_cap():
-    # 200^3 = 8 * 10^6 product points, over CONVOLVE_CAP
+    # the cap bounds each fold step's work |points so far| x |D_j|, not
+    # the product of the support sizes: three 200-point supports through
+    # the identity merge to 598 points, and the last step does 399 x 200
     big = FiniteDist.uniform(range(200))
     one = RatMatrix.identity(1)
-    with pytest.raises(SupportTooLarge):
-        convolve_linear([(one, big)] * 3)
+    out = convolve_linear([(one, big)] * 3)
+    sums = Counter([0])
+    for _ in range(3):
+        step = Counter()
+        for s, c in sums.items():
+            for z in range(200):
+                step[s + z] += c
+        sums = step
+    assert len(out.lattice) == 598
+    assert out == FiniteDist.from_pairs([((s,), Q(c, 200 ** 3))
+                                         for s, c in sums.items()])
+    # scaled by 1, 200 and 40000 the sum is injective: its third step
+    # would hold 40000 x 200 = 8 * 10^6 points, and is refused
+    with pytest.raises(SupportTooLarge, match="40000 x 200 points"):
+        convolve_linear([(RatMatrix.from_rows([[w]]), big)
+                         for w in (1, 200, 40000)])
 
 
 @pytest.mark.parametrize("terms", [

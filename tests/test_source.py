@@ -30,3 +30,18 @@ def test_only_linalg_reads_numerators_and_denominators():
         and node.attr in ("numerator", "denominator")
     ]
     assert not found, "numerator/denominator outside linalg.py: %s" % found
+
+
+def test_only_dimension_reads_the_convolve_cap():
+    # one module decides how large a finite sum may be: convolve_linear
+    # caps each fold step and _check_power a builder's power of points;
+    # the rest call those
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py")) if path.name != "dimension.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Name) and node.id == "CONVOLVE_CAP")
+        or (isinstance(node, ast.Attribute) and node.attr == "CONVOLVE_CAP")
+        or (isinstance(node, ast.alias) and node.name == "CONVOLVE_CAP")
+    ]
+    assert not found, "CONVOLVE_CAP outside dimension.py: %s" % found
