@@ -131,11 +131,15 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
     (codeword entries laid out letter by letter) with convolve_linear.
     The fold must be injective, which holds exactly when the folded
     support has as many points as the codewords; one that merges
-    codewords is refused with OpenSetUnverified rather than returned."""
+    codewords is refused with OpenSetUnverified rather than returned.
+    Users that share one distribution object share one fold (so the K
+    users of uniform_codewords fold once)."""
     r = params.r
     N = params.N
-    out = []
+    folds: dict[int, FiniteDist] = {}
     for u, dist in enumerate(codeword_dists):
+        if id(dist) in folds:
+            continue
         if dist.dim % N != 0:
             raise InputError("user %d codewords have %d entries, not a "
                              "multiple of N=%d" % (u + 1, dist.dim, N))
@@ -146,8 +150,8 @@ def fold_codewords(codeword_dists: Sequence[FiniteDist],
         if len(folded.lattice) != len(dist.lattice):
             raise OpenSetUnverified("user %d: folding at r=%s merges "
                                     "codewords" % (u + 1, r))
-        out.append(folded)
-    return tuple(out)
+        folds[id(dist)] = folded
+    return tuple(folds[id(dist)] for dist in codeword_dists)
 
 
 def lift_selfsimilar(folded: Sequence[FiniteDist],

@@ -1,16 +1,20 @@
 """Exact rational linear algebra: matrices over Fraction, subspaces,
 block channel matrices, and the fixed-point-free cross-link search.
 
-Rank, determinant, inverse, null space and column space all read their
-answers off one routine, _eliminate: fraction-free Gauss-Jordan
-elimination on Python ints (rows are cleared of denominators first).
-Intermediate entries stay minors of the input, which keeps bit growth
-polynomial instead of the exponential blowup of naive Fraction
+The exact kernels compute on each matrix's cached integer form,
+RatMatrix.int_form: its entries over their least common denominator,
+cleared once per matrix.  __mul__ takes integer dot products, and rank,
+determinant, inverse, null space and column space all read their answers
+off one routine, _eliminate: fraction-free Gauss-Jordan elimination on
+Python ints.  Intermediate entries stay minors of the input, which keeps
+bit growth polynomial instead of the exponential blowup of naive Fraction
 elimination, and the exact RREF is the result divided by one integer.
 
 This module alone reads numerators and denominators: every exact path
 that computes on integers takes them from _over_lcm (rationals over their
-least common denominator) or _lattice (points over one denominator).
+least common denominator, also behind int_form) or _lattice (points over
+one denominator).  A ChannelMatrix caches its derangement certificate,
+so the KM/2 bound is decided once per channel.
 
 Matrices are assembled from pieces by two builders only:
 RatMatrix.from_columns (column j is columns[j]; a scalar is a 1-vector)
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,7 +56,8 @@ def _vec(point) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rows x cols matrix with Fraction entries (row-major)."""
+    """Immutable rows x cols matrix with Fraction entries (row-major).
+    Equality and hashing read only the fields, not the cached int_form."""
 
     rows: int
     cols: int
@@ -112,6 +119,13 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, (Q(0),) * (rows * cols))
 
+    @cached_property
+    def int_form(self) -> tuple[tuple[int, ...], int]:
+        """(ints, L) with entries[i] == ints[i] / L, L the least common
+        denominator of the entries."""
+        ints, L = _over_lcm(self.entries)
+        return tuple(ints), L
+
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -131,13 +145,12 @@ class RatMatrix:
         if self.cols != other.rows:
             raise DimMismatch("inner dimensions differ: %d vs %d"
                               % (self.cols, other.rows))
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                cj = other.col(j)
-                out.append(sum((a * b for a, b in zip(ri, cj)), Q(0)))
-        return RatMatrix(self.rows, other.cols, tuple(out))
+        (a, La), (b, Lb) = self.int_form, other.int_form
+        n, c, den = self.cols, other.cols, La * Lb
+        cols = [b[j::c] for j in range(c)]
+        return RatMatrix(self.rows, c, tuple(  # integer dot products over den
+            Q(sum(map(mul, a[i * n:(i + 1) * n], col)), den)
+            for i in range(self.rows) for col in cols))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -190,8 +203,9 @@ def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968, with the rows
     above each pivot cleared too).
 
-    Each row is first cleared of denominators by its own integer multiplier;
-    that changes neither the rank nor the RREF.  A pivot p in row r, column
+    The rows are A's cached integer form, A times the least common
+    denominator L of its entries; that changes neither the rank nor the
+    RREF, and det A is det(rows) / L**A.rows.  A pivot p in row r, column
     c then updates every other row i by
         row_i[j] = (row_i[j] * p - row_i[c] * row_r[j]) / prev,
     prev being the previous pivot (1 at the start).  Each division is exact:
@@ -204,14 +218,10 @@ def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]
     The RREF is therefore the returned rows divided by the last pivot.
 
     Returns (rows, pivot columns, last pivot, sign of the row swaps,
-    product of the row multipliers).
+    L**A.rows).
     """
-    m = []
-    scale = 1
-    for i in range(A.rows):
-        row, mult = _over_lcm(A.row(i))
-        scale *= mult
-        m.append(row)
+    ints, L = A.int_form
+    m = [list(ints[i * A.cols:(i + 1) * A.cols]) for i in range(A.rows)]
     pivots: list[int] = []
     prev = sign = 1
     for c in range(A.cols):
@@ -236,7 +246,7 @@ def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]
             m[i] = out
         prev = p
         pivots.append(c)
-    return m, pivots, prev, sign, scale
+    return m, pivots, prev, sign, L ** A.rows
 
 
 def mat_rank(A: RatMatrix) -> int:
@@ -346,7 +356,8 @@ def subspace_sum_dim(parts: Sequence[Subspace]) -> int:
 @dataclass(frozen=True)
 class ChannelMatrix:
     """K x K grid of M x M rational blocks; block (i, j) couples
-    transmitter j into receiver i (0-indexed internally)."""
+    transmitter j into receiver i (0-indexed internally).  Equality and
+    hashing read only the fields, not the cached derangement."""
 
     K: int
     M: int
@@ -381,6 +392,11 @@ class ChannelMatrix:
 
     def block(self, i: int, j: int) -> RatMatrix:
         return self.blocks[i][j]
+
+    @cached_property
+    def derangement(self) -> "DerangementCert | None":
+        """find_derangement's answer, decided once per channel."""
+        return _derangement(self)
 
     def full_matrix(self) -> RatMatrix:
         return RatMatrix.from_blocks(self.blocks)
@@ -425,7 +441,12 @@ def _kuhn_match(allowed: Sequence[Sequence[int]], n_cols: int) -> list[int] | No
 
 def find_derangement(H: ChannelMatrix) -> DerangementCert | None:
     """Lexicographically smallest fixed-point-free assignment i -> sigma(i)
-    with det H_{i, sigma(i)} != 0, or None when no such assignment exists."""
+    with det H_{i, sigma(i)} != 0, or None when no such assignment exists;
+    decided on the channel's first call and cached on it."""
+    return H.derangement
+
+
+def _derangement(H: ChannelMatrix) -> DerangementCert | None:
     K = H.K
     allowed = [[j for j in range(K) if j != i and mat_det(H.block(i, j)) != 0]
                for i in range(K)]

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random channels, direction sets, and scalings.
+"""Shared helpers: seeded random channels, direction sets, scalings, and
+a Fraction RREF oracle.
 
 Everything here uses `random.Random(seed)` so that every randomized suite
 is reproducible run-to-run; no test draws from global RNG state.
@@ -67,3 +68,26 @@ def rand_scheme_dirs(rng: random.Random, K: int, M: int,
         d = rng.randint(0, max_d)
         dirs.append(rand_full_rank(rng, M, d) if d else RatMatrix.zeros(M, 0))
     return dirs
+
+
+def rref_reference(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions
+    (in place), and its pivot columns: an oracle independent of the
+    library's fraction-free integer kernel."""
+    cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Q(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots

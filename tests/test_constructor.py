@@ -24,6 +24,7 @@ from dofkit import (
     minkowski_check,
     uniform_codewords,
 )
+from dofkit import construct
 from dofkit.dimension import CONVOLVE_CAP, convolve_linear
 from dofkit.examples import ex1
 from dofkit.errors import (
@@ -165,6 +166,27 @@ def test_fold_codewords():
     assert [len(F.points) for F in folded] == [9, 9]  # injective fold
     vals = {pt[0] for pt in folded[0].points}
     assert vals == {a + b * Q(1, 16) for a in grid for b in grid}
+
+
+def test_fold_codewords_folds_each_shared_support_once(monkeypatch):
+    # uniform_codewords hands every user one object: it is folded once,
+    # and each user gets what folding its own support alone gives
+    params = ConstructionParams(k=4, p=3, N=2, H_max=1)
+    d = uniform_codewords((Q(0), Q(1, 2), Q(1)), 3, 1, 2)[0]
+    e = FiniteDist.uniform([(0, 0), (Q(1, 4), 1)])
+    alone = {id(x): fold_codewords((x,), params)[0] for x in (d, e)}
+    calls = []
+
+    def counting(terms):
+        calls.append(terms)
+        return convolve_linear(terms)
+
+    monkeypatch.setattr(construct, "convolve_linear", counting)
+    assert fold_codewords((d,) * 3, params) == (alone[id(d)],) * 3
+    assert len(calls) == 1
+    assert fold_codewords((d, e, d), params) == \
+        (alone[id(d)], alone[id(e)], alone[id(d)])
+    assert len(calls) == 3
 
 
 def test_uniform_codewords_caps_only_the_box_it_builds():

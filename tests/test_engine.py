@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import json
 import math
 import random
 from fractions import Fraction as Q
@@ -28,6 +31,7 @@ from dofkit import (
     standardize_3user,
     upper_bound,
 )
+from dofkit import linalg
 from dofkit.engine import assemble_report
 from dofkit.dimension import DimValue
 from dofkit.errors import (
@@ -46,8 +50,10 @@ from dofkit.errors import (
 )
 from dofkit.examples import ex1, k3m3, parallel_channel, propgain, stacked
 from dofkit.linalg import mat_det, mat_inverse
+from dofkit.serialize import channel_json
 
-from conftest import rand_channel, rand_nonsingular, rand_scheme_dirs
+from conftest import (rand_channel, rand_nonsingular, rand_scheme_dirs,
+                      rref_reference)
 
 TWO_USER = ChannelMatrix.from_rows(2, 1, [[1, 1], [1, -1]])
 
@@ -417,3 +423,112 @@ def test_search_pool_too_small():
     H, _ = ex1()
     with pytest.raises(InputError):
         search_best_subspace(H, [POOL] * 3, (1, 1, 6))
+
+
+def test_derangement_is_decided_once_per_channel(monkeypatch):
+    # two dof_evals and a search on one H take the K(K-1) block
+    # determinants of one certificate; every later bound is a lookup
+    dets = []
+
+    def counting(A):
+        dets.append(A)
+        return mat_det(A)
+
+    monkeypatch.setattr(linalg, "mat_det", counting)
+    H, scheme = ex1()
+    first = dof_eval(H, scheme)
+    assert dof_eval(H, scheme) == first and first.bound == 3
+    assert search_best_subspace(H, [POOL] * 3, (1, 1, 1))[1].bound == 3
+    assert len(dets) == H.K * (H.K - 1)
+    # the cached certificate (and the blocks' cached integer forms) leave
+    # the channel as it was: equal, hashed, serialized and declared alike
+    fresh = ChannelMatrix.from_rows(3, 2, H.full_matrix().to_rows())
+    assert "derangement" in vars(H) and "derangement" not in vars(fresh)
+    assert H == fresh and hash(H) == hash(fresh)
+    assert H.block(0, 1) == fresh.block(0, 1)
+    assert hash(H.block(0, 1)) == hash(fresh.block(0, 1))
+    assert json.dumps(channel_json(H)) == json.dumps(channel_json(fresh))
+    assert [f.name for f in dataclasses.fields(RatMatrix)] == \
+        ["rows", "cols", "entries"]
+    assert [f.name for f in dataclasses.fields(ChannelMatrix)] == \
+        ["K", "M", "blocks"]
+
+
+def _rank(rows):
+    return len(rref_reference([list(r) for r in rows])[1])
+
+
+def _product(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Q(0)) for col in zip(*B)]
+            for row in A]
+
+
+def search_reference(H, pools, dims):
+    """(total, argmax, bound) by brute force over Fractions, independent of
+    the library's kernels: every assignment of d_j pool vectors per user in
+    lexicographic pool-index order, ranks by rref_reference, ties to the
+    first assignment; KM/2 when some fixed-point-free assignment has
+    nonsingular cross blocks."""
+    K, M = H.K, H.M
+    blocks = [[H.block(i, j).to_rows() for j in range(K)] for i in range(K)]
+    best = None
+    for assignment in itertools.product(*(
+            itertools.combinations(pool, d) for pool, d in zip(pools, dims))):
+        V = [[[Q(v[a]) for v in vs] for a in range(M)] for vs in assignment]
+        if any(_rank(Vj) != len(vs) for Vj, vs in zip(V, assignment)):
+            continue
+        total = 0
+        for i in range(K):
+            images = [_product(blocks[i][j], V[j]) for j in range(K)]
+            total += _rank([sum(rows, []) for rows in zip(*images)])
+            total -= _rank([sum(rows, []) for rows in zip(
+                *(images[j] for j in range(K) if j != i))])
+        if best is None or total > best[0]:
+            best = (total, tuple(tuple(tuple(map(Q, v)) for v in vs)
+                                 for vs in assignment))
+    bound = Q(K * M, 2) if any(
+        all(s[i] != i and _rank(blocks[i][s[i]]) == M for i in range(K))
+        for s in itertools.permutations(range(K))) else None
+    return best + (bound,)
+
+
+def _rational_pool_cases():
+    # perfbench-style pools: aligning vectors among seeded rational
+    # distractors, shuffled per user
+    for seed in (1, 2):
+        rng = random.Random(seed)
+
+        def vec(m):
+            return tuple(Q(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(m))
+
+        # ex1: the aligning POOL plus Fraction distractors
+        H, _ = ex1()
+        pools = [POOL + [vec(2) for _ in range(3)] for _ in range(3)]
+        for p in pools:
+            rng.shuffle(p)
+        yield pytest.param(H, pools, (1, 1, 1), id="ex1-%d" % seed)
+        # k3m3: three parallel subchannels [[a,1,1],[1,b,1],[1,d,c]]; user
+        # 1 aligns on (1,1,1) and d, users 2 and 3 on (1,1,1), and the
+        # scaled copy (2,2,2) makes some of user 1's pairs rank deficient
+        a, b, c, d = ([Q(rng.randint(1, 9), rng.randint(1, 9))
+                       for _ in range(3)] for _ in range(4))
+        H = parallel_channel([RatMatrix.from_rows(
+            [[a[m], 1, 1], [1, b[m], 1], [1, d[m], c[m]]]) for m in range(3)])
+        ones = (1, 1, 1)
+        pools = [[ones, tuple(d), (2, 2, 2)] + [vec(3) for _ in range(3)],
+                 [ones] + [vec(3) for _ in range(4)],
+                 [ones] + [vec(3) for _ in range(4)]]
+        for p in pools:
+            rng.shuffle(p)
+        yield pytest.param(H, pools, (2, 1, 1), id="k3m3-%d" % seed)
+
+
+@pytest.mark.parametrize("H, pools, dims", _rational_pool_cases())
+def test_search_on_rational_pools_matches_brute_force(H, pools, dims):
+    scheme, report = search_best_subspace(H, pools, dims)
+    total, argmax, bound = search_reference(H, pools, dims)
+    assert report.total.rational == total
+    assert tuple(tuple(map(tuple, V.transpose().to_rows()))
+                 for V in scheme.directions) == argmax
+    assert report.bound == bound

@@ -19,7 +19,8 @@ from dofkit.linalg import (
     subspace_sum_dim,
 )
 
-from conftest import rand_channel, rand_full_rank, rand_matrix, rand_nonsingular
+from conftest import (rand_channel, rand_full_rank, rand_matrix,
+                      rand_nonsingular, rref_reference)
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -235,29 +236,6 @@ def test_elimination_outputs_frozen(name):
         assert mat_inverse(A) == RatMatrix.from_rows(inv)
 
 
-def rref_reference(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form by Gauss-Jordan elimination over Fractions
-    (in place), and its pivot columns: an oracle independent of the
-    library's fraction-free integer kernel."""
-    cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 @st.composite
 def rational_matrices(draw):
     """1-5 x 1-6 (and empty) matrices, half of them square, with zero
@@ -299,6 +277,39 @@ def test_elimination_matches_fraction_reference(A):
     else:
         with pytest.raises(InputError):
             mat_inverse(A)
+
+
+@st.composite
+def matrix_products(draw):
+    """A (r x n) and B (n x c), each size 0-4, with zero entries, small
+    fractions and fractions of denominators up to 2^70."""
+    r, n, c = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.just(Q(0)), fractions_st,
+                      st.fractions(max_denominator=2 ** 70))
+
+    def matrix(rows, cols):
+        return RatMatrix(rows, cols, tuple(draw(st.lists(
+            entry, min_size=rows * cols, max_size=rows * cols))))
+
+    return matrix(r, n), matrix(n, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_products())
+@example((RatMatrix(0, 3, ()), RatMatrix.identity(3)))
+@example((RatMatrix.identity(2), RatMatrix(2, 0, ())))
+@example((RatMatrix(2, 0, ()), RatMatrix(0, 3, ())))
+@example((RatMatrix.from_rows([[Q(1, 2 ** 70 - 1), Q(3, 2 ** 69)]]),
+          RatMatrix.from_rows([[Q(2 ** 70 - 1, 7)], [Q(-5, 3 ** 40)]])))
+def test_integer_matmul_matches_fraction_sums(pair):
+    # the integer dot products over La * Lb equal the Fraction definition
+    # sum_t a_it * b_tj entry for entry, in lowest terms
+    A, B = pair
+    want = tuple(sum((A.at(i, t) * B.at(t, j) for t in range(A.cols)), Q(0))
+                 for i in range(A.rows) for j in range(B.cols))
+    got = A * B
+    assert got == RatMatrix(A.rows, B.cols, want)
+    assert all(type(x) is Q for x in got.entries)
 
 
 def test_elimination_edge_shapes():

@@ -45,3 +45,16 @@ def test_only_dimension_reads_the_convolve_cap():
         or (isinstance(node, ast.alias) and node.name == "CONVOLVE_CAP")
     ]
     assert not found, "CONVOLVE_CAP outside dimension.py: %s" % found
+
+
+def test_only_linalg_reads_the_cached_integer_form():
+    # RatMatrix.int_form is the exact kernels' view of a matrix; other
+    # modules compute through those kernels (or _over_lcm, _lattice)
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "int_form")
+        or (isinstance(node, ast.Constant) and node.value == "int_form")
+    ]
+    assert not found, "int_form outside linalg.py: %s" % found
