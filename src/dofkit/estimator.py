@@ -15,11 +15,13 @@ equals seed s xor b's batch 0: seeds 0 and 1 overlap.
 Cells are counted from one quantization per signal: floor(2^k2 x) is
 computed once, and the k1 and intermediate cells are arithmetic right
 shifts of it, which is exact because floor(floor(y)/2^s) = floor(y/2^s)
-and scaling by 2^k is exact in binary floating point.  Each resolution's
-cell rows are packed into one lexicographic mixed-radix int64 key, dense
-in [0, n), and grouped by counting (np.bincount) rather than sorting,
-which gives the same groups, in the same order, as np.unique(axis=0) at a
-fraction of the cost.
+and scaling by 2^k is exact in binary floating point.  Cell rows are
+packed into one lexicographic mixed-radix int64 key, dense in [0, rows),
+and grouped by counting (np.bincount) rather than sorting, which gives
+the same groups, in the same order, as np.unique(axis=0) at a fraction
+of the cost.  Only the k2 grouping reads all n rows: every coarser cell
+is a union of k2 cells, so the k1 and intermediate resolutions group one
+row per distinct k2 cell and add up the k2 counts.
 
 NOTE: floating point is confined to this module; nothing here feeds back
 into the exact evaluation paths.
@@ -148,9 +150,13 @@ def _user_draws(scheme: Scheme, n: int, M: Optional[int],
 
         def mixture(a):
             # a uniform [0,1)^M draw with probability a, else the origin;
-            # the mask is drawn before the values
-            return lambda gen, size: (
-                (gen.random(size) < a)[:, None] * gen.random((size, M)))
+            # the mask is drawn before the values, then zeroes them in place
+            def draw(gen, size):
+                mask = gen.random(size) < a
+                x = gen.random((size, M))
+                x *= mask[:, None]
+                return x
+            return draw
         return [mixture(float(a)) for a in scheme.alphas]
     if isinstance(scheme, SelfSimilarScheme):
         width = min(n, _BATCH) * scheme.supports[0].dim  # terms per depth
@@ -303,6 +309,13 @@ def estimate_dim(samples: np.ndarray, cfg: EstimatorConfig) -> DimEstimate:
     - curvature: the slope over (k1, k2) is only meaningful where H(k) is
       close to linear, so the second difference of H at an intermediate
       resolution is charged as a systematic term.
+
+    Only the k2 grouping reads all n sample rows.  The k1 and intermediate
+    cells are grouped over one row per distinct k2 cell, with the k2 counts
+    as weights, and g is formed per k2 cell before it is spread over the
+    samples; the groups, counts and g come out as if every resolution had
+    grouped all n rows.  A sample size below the guidance 50 * 2^(k2 d)
+    warns, compared in log2 so that a large k2 d cannot overflow.
     """
     # floor(floor(2^k2 x) / 2^s) = floor(2^(k2-s) x): coarser cells are
     # exact right shifts of the k2 cells.
@@ -311,29 +324,38 @@ def estimate_dim(samples: np.ndarray, cfg: EstimatorConfig) -> DimEstimate:
     if n == 0:
         raise InputError("no samples to estimate a dimension from")
     span = cfg.k2 - cfg.k1
-    inv1, c1 = _group(_pack(cells2, span))
     inv2, c2 = _group(_pack(cells2))
+    first = np.empty(len(c2), dtype=np.intp)
+    first[inv2] = np.arange(n)  # any row of each k2 cell will do
+    distinct = cells2[first]
+
+    def coarse(shift):
+        """(k2 cell -> coarse cell, sample count per coarse cell); the
+        counts are float sums of integers below 2^53, so exact."""
+        inv = _group(_pack(distinct, shift))[0]
+        return inv, np.bincount(inv, weights=c2)
+
+    inv_d, c1 = coarse(span)
     p1 = c1 / n
     p2 = c2 / n
     h1 = _entropy(p1)
     h2 = _entropy(p2)
     value = (h2 - h1) / span
-    s_curv = 0.0  # computed before g, so fewer per-sample arrays coexist
+    s_curv = 0.0
     if span >= 2:
         mid = (cfg.k1 + cfg.k2) // 2
-        cm = _group(_pack(cells2, cfg.k2 - mid))[1]
-        hm = _entropy(cm / n)
+        hm = _entropy(coarse(cfg.k2 - mid)[1] / n)
         s_curv = abs((h2 - hm) / (cfg.k2 - mid)
                      - (hm - h1) / (mid - cfg.k1))
-    g = (np.log2(p1[inv1]) - np.log2(p2[inv2])) / span
+    g = ((np.log2(p1)[inv_d] - np.log2(p2)) / span)[inv2]
     s_noise = float(np.std(g, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     s_bias = (len(c2) - len(c1)) / (2.0 * n * math.log(2) * span)
     stderr = math.hypot(s_noise, s_bias, s_curv)
-    needed = 50 * 2.0 ** (cfg.k2 * max(value, 0.0))
-    if n < needed:
+    log2_needed = math.log2(50) + cfg.k2 * max(value, 0.0)
+    if math.log2(n) < log2_needed:
         warnings.warn(
-            "n_samples=%d below the guidance 50 * 2^(k2 d) ~ %.3g for the "
-            "estimated dimension %.3f" % (n, needed, value))
+            "n_samples=%d below the guidance 50 * 2^(k2 d) ~ 2^%.1f for the "
+            "estimated dimension %.3f" % (n, log2_needed, value))
     return DimEstimate(value=value, stderr=stderr, k1=cfg.k1, k2=cfg.k2)
 
 
@@ -348,9 +370,13 @@ def estimate_dof(H: ChannelMatrix, scheme: Scheme,
                for j in range(H.K)] for i in range(H.K)]
     pairs = []
     for i in range(H.K):
-        full = sum(samples[j] @ blocks[i][j].T for j in range(H.K))
-        intf = sum(samples[j] @ blocks[i][j].T
-                   for j in range(H.K) if j != i)
+        # each product once, added in the order sum() adds it, from 0
+        full = intf = 0
+        for j in range(H.K):
+            product = samples[j] @ blocks[i][j].T
+            full += product
+            if j != i:
+                intf += product
         ef = estimate_dim(full, cfg)
         ei = estimate_dim(intf, cfg)
         pairs.append((DimValue.from_estimate(ef.value, ef.stderr),

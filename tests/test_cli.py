@@ -307,6 +307,18 @@ def test_estimate_command_deterministic(files, capsys):
     assert obj["total"]["kind"] == "estimate"
 
 
+def test_estimate_stdout_is_frozen(files, capsys):
+    # SHA-256 of the whole stdout of a seeded two-user mixture estimate,
+    # frozen from the estimator that grouped every resolution over all n
+    # samples and formed each channel product twice
+    code, out, _ = run(capsys, "estimate", "--channel", files["two.json"],
+                       "--scheme", files["mix.json"], "--samples", "20000",
+                       "--k1", "3", "--k2", "6", "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f04683f5541360b366473a6b0b32d5bdeb7f74fef9c6785e92e9eb603dd88ce6")
+
+
 def test_estimate_seed_from_environment(files, capsys, monkeypatch):
     argv = ["estimate", "--channel", files["two.json"],
             "--scheme", files["mix.json"], "--samples", "20000",

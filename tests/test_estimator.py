@@ -421,6 +421,57 @@ def test_estimate_dim_matches_sort_reference(scheme, kwargs, n, k1, k2,
     assert quantized_entropy(xs, k2).hex() == h2.hex()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 300), st.integers(1, 4),
+       st.integers(1, 4),
+       st.lists(st.integers(0, 59), min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+@example(4, 300, 3, 1, [59] * 4, 0)  # span 1, wide columns: re-rank
+@example(1, 2, 1, 4, [0] * 4, 0)  # two rows, span 4
+def test_estimate_dim_matches_sort_reference_on_drawn_cells(M, n, k1, span,
+                                                            exps, seed):
+    # Cells drawn from a few values per column, so rows repeat; spans 1-4
+    # (span 1 has no intermediate resolution), and columns up to 2^59 wide
+    # push the packed keys through the re-rank step.
+    cfg = EstimatorConfig(n_samples=n, k1=k1, k2=k1 + span, seed=0)
+    rng = np.random.default_rng(seed)
+    cols = []
+    for e in exps[:M]:
+        pool = rng.integers(-(1 << e), 1 << e, size=rng.integers(1, 6),
+                            endpoint=True)
+        cols.append(rng.choice(pool, size=n) + rng.random(n))
+    xs = np.ldexp(np.stack(cols, axis=1), -cfg.k2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = estimate_dim(xs, cfg)
+    value, stderr, _, _ = _estimate_dim_sort_reference(xs, cfg)
+    assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
+
+
+def test_estimate_dim_packs_the_samples_once(monkeypatch):
+    # Only the k2 grouping packs all n rows; the coarser resolutions pack
+    # one row per distinct k2 cell.
+    import dofkit.estimator as estimator
+    sizes = []
+
+    def counting(cells, shift=0):
+        sizes.append(len(cells))
+        return pack(cells, shift)
+
+    pack = estimator._pack
+    monkeypatch.setattr(estimator, "_pack", counting)
+    cfg = EstimatorConfig(n_samples=20_000, k1=3, k2=6, seed=5)
+    xs = sample_scheme(MixtureScheme((Q(1, 2),)), cfg.n_samples, cfg.seed,
+                       M=2)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_dim(xs, cfg)
+    distinct = len(np.unique(_cells(xs, cfg.k2), axis=0))
+    assert distinct < cfg.n_samples
+    assert sizes.count(cfg.n_samples) == 1
+    assert all(s <= distinct for s in sizes if s != cfg.n_samples)
+
+
 def test_estimate_dim_warns_when_undersampled():
     xs = sample_scheme(MixtureScheme((Q(1),)), 1000, seed=7, M=1)[0]
     with pytest.warns(UserWarning):
@@ -448,6 +499,37 @@ def test_estimate_dof_line_directions():
                                                 k2=7, seed=11))
     assert abs(r.total.estimate - 3.0) < 0.2
     assert all(t.term.stderr > 0 for t in r.per_receiver)
+
+
+def test_estimate_dof_receives_in_sum_order():
+    # Each receiver's signals are added in sum()'s order, from 0.  The
+    # samples are dyadic (ratio 1/2, depth 4) and the gains thirds, so
+    # many sums are cell boundaries in exact arithmetic, and the float
+    # rounding of another order moves hundreds of samples across them.
+    rows = [[1, Q(1, 3), Q(2, 3), -1, Q(-1, 3), Q(1, 5)],
+            [Q(-2, 3), 1, Q(1, 3), Q(1, 10), Q(1, 3), 1],
+            [Q(1, 3), Q(2, 3), 1, Q(-1, 3), Q(2, 3), Q(3, 10)],
+            [Q(-1, 3), Q(1, 3), Q(2, 3), 1, Q(1, 3), Q(-2, 3)],
+            [Q(1, 10), Q(2, 3), Q(-1, 3), Q(1, 3), 1, Q(1, 3)],
+            [Q(2, 3), Q(-1, 3), Q(1, 3), Q(2, 3), Q(-2, 3), 1]]
+    H = ChannelMatrix.from_rows(3, 2, rows)
+    square = FiniteDist.uniform([(0, 0), (1, 0), (0, 1), (1, 1)])
+    scheme = SelfSimilarScheme(Q(1, 2), (square,) * 3)
+    cfg = EstimatorConfig(n_samples=20_000, k1=3, k2=6, seed=17, ifs_depth=4)
+    xs = sample_scheme(scheme, cfg.n_samples, cfg.seed, ifs_depth=4)
+    gains = [[np.array(H.block(i, j).to_float_rows()) for j in range(3)]
+             for i in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = estimate_dof(H, scheme, cfg)
+        want = []
+        for i in range(3):
+            full = sum(xs[j] @ gains[i][j].T for j in range(3))
+            intf = sum(xs[j] @ gains[i][j].T for j in range(3) if j != i)
+            ef, ei = estimate_dim(full, cfg), estimate_dim(intf, cfg)
+            want.append(tuple(x.hex() for x in (ef.value, ef.stderr,
+                                                 ei.value, ei.stderr)))
+    assert _receiver_hex(rep) == want
 
 
 def test_estimate_dof_deterministic():
@@ -571,3 +653,13 @@ def test_sample_size_warning_counts_the_given_samples():
     cfg = EstimatorConfig(n_samples=10**9, k1=3, k2=6, seed=0)
     with pytest.warns(UserWarning, match="n_samples=100 "):
         estimate_dim(xs, cfg)
+
+
+def test_sample_size_guidance_does_not_overflow():
+    # k2 d = 62 * 18.2 > 1024: 50 * 2.0 ** (k2 d) raised OverflowError
+    rng = np.random.default_rng(0)
+    xs = np.ldexp(rng.integers(0, 2, size=(300_000, 24)).astype(float), -62)
+    cfg = EstimatorConfig(300_000, 61, 62, 0)
+    with pytest.warns(UserWarning, match=r"n_samples=300000 .* 2\^11"):
+        est = estimate_dim(xs, cfg)
+    assert est.value * cfg.k2 > 1024
