@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .dimension import (
     DimValue,
@@ -46,6 +46,7 @@ from .errors import (
     SingularScaling,
     TooFewUsers,
     UserCountMismatch,
+    _check_ints,
 )
 from .linalg import (
     ChannelMatrix,
@@ -371,6 +372,7 @@ def cyclic_delay_channel(K: int, M: int) -> tuple[ChannelMatrix, SubspaceScheme]
     scheme puts every user on the even-indexed coordinates, which the odd
     cross-link shift throws onto the odd coordinates; dof comes out KM/2.
     """
+    _check_ints(K=K, M=M)
     if K < 3:
         raise TooFewUsers("cyclic construction needs K >= 3, got %d" % K)
     if M < 2 or M % 2 != 0:
@@ -482,30 +484,27 @@ def rational_strictness(subchannels: Sequence[RatMatrix]) -> StrictnessClaim:
 
 
 def search_best_subspace(H: ChannelMatrix,
-                         pools: Sequence[Sequence[Sequence]],
+                         pools: Sequence[Iterable[Sequence]],
                          dims: Sequence[int]
                          ) -> tuple[SubspaceScheme, DofReport]:
     """Exhaustively try every assignment of d_j pool vectors per user and
     return the scheme maximizing the dof total (ties: first assignment in
-    lexicographic pool-index order).  Subsets with dependent columns are
-    skipped; the assignment count is bounded by SEARCH_BUDGET up front."""
+    lexicographic pool-index order).  Pools are read once and at most
+    SEARCH_BUDGET assignments are tried, each ranked before a scheme is
+    built from its direction matrices: dependent columns skip it."""
     if len(pools) != H.K or len(dims) != H.K:
         raise UserCountMismatch("need one pool and one dimension per user")
     vec_pools = []
     for j, pool in enumerate(pools):
-        vecs = []
-        for v in pool:
-            v = _vec(v)
+        _check_ints(**{"direction count for user %d" % (j + 1): dims[j]})
+        if dims[j] < 0:
+            raise InputError("negative direction count for user %d" % (j + 1,))
+        vec_pools.append(list(map(_vec, pool)))
+        for v in vec_pools[j]:
             if len(v) != H.M:
                 raise DimMismatch("pool vector for user %d has length %d, "
                                   "channel has M=%d" % (j + 1, len(v), H.M))
-            vecs.append(v)
-        if dims[j] < 0:
-            raise InputError("negative direction count for user %d" % (j + 1,))
-        vec_pools.append(vecs)
-    count = 1
-    for j in range(H.K):
-        count *= math.comb(len(vec_pools[j]), dims[j])
+    count = math.prod(map(math.comb, map(len, vec_pools), dims))
     if count > SEARCH_BUDGET:
         raise BudgetExceeded("%d assignments exceed the budget of %d"
                              % (count, SEARCH_BUDGET))
@@ -513,12 +512,12 @@ def search_best_subspace(H: ChannelMatrix,
         raise InputError("some pool is smaller than the requested dimension")
 
     best: tuple[SubspaceScheme, DofReport] | None = None
-    choices = [tuple(itertools.combinations(vec_pools[j], dims[j]))
-               for j in range(H.K)]
-    for assignment in itertools.product(*choices):
-        scheme = SubspaceScheme.from_columns(assignment, ambient_dim=H.M)
-        if any(mat_rank(V) != V.cols for V in scheme.directions):
+    for assignment in itertools.product(*map(itertools.combinations,
+                                             vec_pools, dims)):
+        directions = [RatMatrix.from_columns(cols, H.M) for cols in assignment]
+        if any(mat_rank(V) != V.cols for V in directions):
             continue
+        scheme = SubspaceScheme(tuple(directions))
         report = dof_eval(H, scheme)
         if best is None or report.total.rational > best[1].total.rational:
             best = (scheme, report)

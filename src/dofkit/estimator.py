@@ -284,6 +284,7 @@ def _entropy(p: np.ndarray) -> float:
 def quantized_entropy(samples: np.ndarray, k: int) -> float:
     """Plug-in Shannon entropy (bits) of the empirical distribution over
     the dyadic cells floor(2^k x)."""
+    _check_ints(k=k)
     if k < 0:
         raise InputError("resolution exponent must be nonnegative")
     cells = _cells(samples, k)

@@ -39,6 +39,7 @@ from .errors import (
     InvariantViolated,
     NonSquare,
     UserCountMismatch,
+    _check_ints,
 )
 
 Q = Fraction
@@ -343,16 +344,6 @@ def projected_dim(target: Subspace, source: Subspace) -> int:
     return mat_rank(target.basis.transpose() * source.basis)
 
 
-def subspace_sum_dim(parts: Sequence[Subspace]) -> int:
-    """dim(S_1 + ... + S_n) inside a shared ambient space."""
-    if not parts:
-        raise InputError("sum of no subspaces")
-    amb = parts[0].ambient_dim
-    if any(p.ambient_dim != amb for p in parts):
-        raise DimMismatch("subspace sum across different ambient spaces")
-    return mat_rank(RatMatrix.hstack([p.basis for p in parts]))
-
-
 @dataclass(frozen=True)
 class ChannelMatrix:
     """K x K grid of M x M rational blocks; block (i, j) couples
@@ -364,6 +355,7 @@ class ChannelMatrix:
     blocks: tuple[tuple[RatMatrix, ...], ...]
 
     def __post_init__(self):
+        _check_ints(K=self.K, M=self.M)
         if self.K < 2:
             raise UserCountMismatch("need at least 2 users, got %d" % self.K)
         if self.M < 1:
@@ -383,6 +375,7 @@ class ChannelMatrix:
 
     @classmethod
     def from_rows(cls, K: int, M: int, rows: Sequence[Sequence]) -> "ChannelMatrix":
+        _check_ints(K=K, M=M)  # before K and M size the blocks
         big = RatMatrix.from_rows(rows)
         if (big.rows, big.cols) != (K * M, K * M):
             raise DimMismatch("expected a %d x %d array" % (K * M, K * M))

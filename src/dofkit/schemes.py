@@ -9,6 +9,10 @@ Families:
   * SelfSimilarScheme -- X_j = sum_{i >= 0} r^i W_i with W_i i.i.d. on a
     finite support; one contraction ratio shared by all users.
 
+Each scheme checks its own entries when built, a SubspaceScheme the full
+column rank of each V_j that the rank rule needs; validate_scheme only
+fits a scheme to a channel's user count and ambient dimension.
+
 A finite support (FiniteDist) is stored as integers: distinct integer
 points over one denominator L and positive counts over their sum W, in
 lowest terms, so the exact paths never go back to Fractions.
@@ -30,6 +34,7 @@ from .errors import (
     RankDeficientDirections,
     RatioOutOfRange,
     UserCountMismatch,
+    _check_ints,
 )
 from .linalg import (ChannelMatrix, RatMatrix, _lattice, _over_lcm, _q,
                      _vec, mat_rank)
@@ -121,6 +126,10 @@ class SubspaceScheme:
             raise InputError("subspace scheme needs one direction set per user")
         if any(V.rows != self.directions[0].rows for V in self.directions):
             raise DimMismatch("direction matrices of unequal row count")
+        for j, V in enumerate(self.directions):
+            if mat_rank(V) != V.cols:
+                raise RankDeficientDirections(
+                    "user %d direction matrix has dependent columns" % (j + 1,))
 
     @classmethod
     def from_columns(cls, per_user_columns: Sequence[Sequence[Sequence]],
@@ -128,6 +137,7 @@ class SubspaceScheme:
                      ambient_dim: int | None = None) -> "SubspaceScheme":
         """Build direction matrices from per-user lists of column vectors.
         ambient_dim is only needed when some user has no columns at all."""
+        _check_ints(optional=True, ambient_dim=ambient_dim)
         return cls(tuple(RatMatrix.from_columns(cols, ambient_dim)
                          for cols in per_user_columns), latent_tag)
 
@@ -170,10 +180,10 @@ Scheme = Union[SubspaceScheme, MixtureScheme, SelfSimilarScheme]
 
 
 def validate_scheme(scheme: Scheme, H: ChannelMatrix) -> Scheme:
-    """Check that a scheme fits a channel (one user per transmitter, the
-    channel's ambient dimension, full-column-rank directions for the rank
-    rule); returns the scheme unchanged on success.  Each scheme type has
-    already checked its own entries when it was built."""
+    """Check that a scheme fits a channel: one user per transmitter and the
+    channel's ambient dimension; returns the scheme unchanged on success.
+    Its entries, a subspace scheme's direction ranks too, were checked
+    when it was built."""
     if isinstance(scheme, SubspaceScheme):
         per_user, dim = scheme.directions, scheme.directions[0].rows
     elif isinstance(scheme, MixtureScheme):
@@ -188,9 +198,4 @@ def validate_scheme(scheme: Scheme, H: ChannelMatrix) -> Scheme:
     if dim != H.M:
         raise AmbientDimMismatch("scheme lives in dimension %d, channel has "
                                  "M=%d" % (dim, H.M))
-    if isinstance(scheme, SubspaceScheme):
-        for j, V in enumerate(scheme.directions):
-            if mat_rank(V) != V.cols:
-                raise RankDeficientDirections(
-                    "user %d direction matrix has dependent columns" % (j + 1,))
     return scheme

@@ -9,7 +9,7 @@ import pytest
 
 from dofkit import ChannelMatrix, MixtureScheme, SubspaceScheme, dof_eval
 from dofkit.cli import build_parser, main
-from dofkit.examples import ex1
+from dofkit.examples import ex1, k3m3
 from dofkit.serialize import channel_json, report_json, scheme_json
 
 TWO_USER = ChannelMatrix.from_rows(2, 1, [[1, 1], [1, -1]])
@@ -179,6 +179,44 @@ def test_search_command(files, capsys):
     assert obj["report"]["total"]["value"] == "3"
     assert obj["scheme"]["directions"] == [[["1", "1"]], [["1", "2"]],
                                            [["1", "3"]]]
+
+
+K3M3_POOLS = {"pools": [[["1", "1", "1"], ["2", "2", "2"], ["1", "2", "3"],
+                         ["3", "1", "2"]],
+                        [["1", "1", "1"], ["1", "2", "3"], ["1", "0", "0"]],
+                        [["1", "1", "1"], ["1", "2", "3"], ["1", "0", "0"]]],
+              "dims": [2, 1, 1]}
+
+
+@pytest.mark.parametrize("fixture, digest", [
+    ("ex1", "6cd6314eee1673f701b380d874506d469149e3c8e3cc4f06469f9582f4870101"),
+    ("k3m3", "1ac2256511727e072a80417b7cc68e2e684679f5bcecd231b85fb19ca476cdec"),
+])
+def test_search_stdout_is_frozen(files, capsys, tmp_path, fixture, digest):
+    # SHA-256 of the whole stdout (scheme JSON and report), frozen from
+    # the search that built every assignment's scheme before ranking it.
+    # On k3m3 (seed 7) user 1's pool holds the scaled copy (2,2,2) of
+    # (1,1,1), so some of its pairs are rank deficient and skipped.
+    if fixture == "ex1":
+        channel, pool = files["ex1.json"], files["pool.json"]
+    else:
+        channel, pool = tmp_path / "k3m3.json", tmp_path / "k3m3_pool.json"
+        channel.write_text(json.dumps(channel_json(k3m3(7)[0])))
+        pool.write_text(json.dumps(K3M3_POOLS))
+    code, out, _ = run(capsys, "search", "--channel", str(channel),
+                       "--pool", str(pool))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_eval_refuses_rank_deficient_scheme(files, capsys, tmp_path):
+    p = tmp_path / "deficient.json"
+    p.write_text(json.dumps({"family": "subspace", "directions": [
+        [["1", "1"], ["2", "2"]], [["1", "2"]], [["1", "3"]]]}))
+    code, out, err = run(capsys, "eval", "--channel", files["ex1.json"],
+                         "--scheme", str(p))
+    assert (code, out) == (2, "")
+    assert err == "input error: user 1 direction matrix has dependent columns\n"
 
 
 def test_search_reads_scalar_pool_entries_as_vectors(files, capsys, tmp_path):

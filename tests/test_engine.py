@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from dofkit import (
     is_standard_form,
     mimo_check,
     parallel_extract,
+    quantized_entropy,
     rational_strictness,
     scale_transform,
     search_best_subspace,
@@ -36,6 +38,7 @@ from dofkit.engine import assemble_report
 from dofkit.dimension import DimValue
 from dofkit.errors import (
     BudgetExceeded,
+    DimMismatch,
     InputError,
     NotFullyConnected,
     NotParallel,
@@ -409,6 +412,12 @@ def test_search_best_subspace():
     assert report.total.rational == 3
     assert [tuple(V.col(0)) for V in scheme.directions] == \
         [(1, 1), (1, 2), (1, 3)]
+    # pools are read once, so one-shot iterables serve as well as lists
+    once = search_best_subspace(H, [iter(POOL), (v for v in POOL),
+                                    map(list, POOL)], (1, 1, 1))
+    assert once == (scheme, report)
+    with pytest.raises(DimMismatch, match="user 2 has length 3"):
+        search_best_subspace(H, [POOL, POOL + [(1, 1, 1)], POOL], (1, 1, 1))
 
 
 def test_search_budget():
@@ -417,6 +426,30 @@ def test_search_budget():
     pool = [(1, t) for t in range(101)]
     with pytest.raises(BudgetExceeded):
         search_best_subspace(H, [pool] * 3, (1, 1, 1))
+
+
+_X = np.array([[0.1, 0.2], [0.3, 0.4]])
+_ENTRY_POINTS = {
+    "search": lambda x: search_best_subspace(ex1()[0], [POOL] * 3, [x, 1, 1]),
+    "cyclic": lambda x: cyclic_delay_channel(x, 2),
+    "entropy": lambda x: quantized_entropy(_X, x),
+    "channel-K": lambda x: ChannelMatrix.from_rows(x, 1, [[1, 1], [1, -1]]),
+    "channel-M": lambda x: ChannelMatrix.from_rows(2, x, [[1, 1], [1, -1]]),
+    "scheme-M": lambda x: SubspaceScheme.from_columns([[(1, 1)], []],
+                                                      ambient_dim=x),
+}
+
+
+@pytest.mark.parametrize("entry, x", [
+    ("search", 1.0), ("search", True), ("cyclic", 3.0), ("cyclic", True),
+    ("entropy", 2.5), ("entropy", True), ("channel-K", 2.0),
+    ("channel-K", True), ("channel-M", True), ("scheme-M", 2.0),
+    ("scheme-M", True)])
+def test_entry_points_refuse_sizes_that_are_not_integers(entry, x):
+    # sizes are ints: a float or a bool is an InputError naming the value,
+    # not a raw TypeError, a run with 1 or a refusal for another reason
+    with pytest.raises(InputError, match="must be an integer, got %r" % (x,)):
+        _ENTRY_POINTS[entry](x)
 
 
 def test_search_pool_too_small():

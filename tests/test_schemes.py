@@ -13,6 +13,7 @@ from dofkit import (
     dof_eval,
     validate_scheme,
 )
+from dofkit import linalg, schemes
 from dofkit.errors import (
     AlphaOutOfRange,
     AmbientDimMismatch,
@@ -22,6 +23,8 @@ from dofkit.errors import (
     RatioOutOfRange,
     UserCountMismatch,
 )
+
+from dofkit.serialize import parse_scheme
 
 from conftest import rand_channel
 
@@ -88,9 +91,6 @@ def test_validate_scheme_against_channel():
     with pytest.raises(AmbientDimMismatch):
         validate_scheme(SubspaceScheme.from_columns(
             [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]], ambient_dim=3), H)
-    with pytest.raises(RankDeficientDirections):
-        validate_scheme(SubspaceScheme.from_columns(
-            [[(1, 1), (2, 2)], [(1, 2)], [(1, 3)]], ambient_dim=2), H)
     with pytest.raises(UserCountMismatch):
         validate_scheme(MixtureScheme((Q(1, 2), Q(1, 2))), H)
     with pytest.raises(AlphaOutOfRange):
@@ -103,6 +103,34 @@ def test_validate_scheme_against_channel():
 
 
 # ------------------------------------------- entries checked when built
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SubspaceScheme((RatMatrix.from_columns([(1, 2)]),
+                            RatMatrix.from_columns([(1, 1), (2, 2)]))),
+    lambda: SubspaceScheme.from_columns([[(1, 2)], [(0, 0)]]),
+    lambda: parse_scheme({"family": "subspace", "directions": [
+        [["1", "2"]], [["1", "1"], ["1", "0"], ["0", "1"]]]}),
+], ids=["init", "from_columns", "parse_scheme"])
+def test_subspace_scheme_refuses_dependent_directions(build):
+    # full column rank is the scheme's own property, checked when built
+    with pytest.raises(RankDeficientDirections,
+                       match="^user 2 direction matrix has dependent columns$"):
+        build()
+
+
+def test_validate_scheme_ranks_nothing(monkeypatch):
+    # fitting a scheme to a channel compares sizes only; the directions
+    # were ranked when the scheme was built
+    H = rand_channel(random.Random(0), 3, 2, derangeable=True)
+    scheme = SubspaceScheme.from_columns([[(1, 1)], [(1, 2)], [(1, 3)]])
+    ranked = []
+    for mod in (schemes, linalg):
+        monkeypatch.setattr(mod, "mat_rank",
+                            lambda V, rank=mod.mat_rank: ranked.append(V)
+                            or rank(V))
+    assert validate_scheme(scheme, H) is scheme
+    assert ranked == []
 
 
 def test_mixture_alphas_checked_when_built():

@@ -58,3 +58,27 @@ def test_only_linalg_reads_the_cached_integer_form():
         or (isinstance(node, ast.Constant) and node.value == "int_form")
     ]
     assert not found, "int_form outside linalg.py: %s" % found
+
+
+def test_only_subspace_scheme_refuses_dependent_directions():
+    # one place decides what a valid direction set is: the scheme, which
+    # checks its own columns when it is built
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "RankDeficientDirections"
+
+    found, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   and cls.name == "SubspaceScheme"
+                   for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc and raised(node):
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "RankDeficientDirections outside SubspaceScheme: %s" % found
+    assert inside, "SubspaceScheme no longer refuses dependent directions"
