@@ -12,6 +12,16 @@ Seeds are ints in [0, 2^64); any other seed raises InputError.  Because
 the key is seed xor batch, seed s's batch b (samples [65536 b, 65536 (b+1)))
 equals seed s xor b's batch 0: seeds 0 and 1 overlap.
 
+A self-similar sample is its series sum_d r^d X_d cut at the truncation
+depth.  A batch draws one uniform per series term, in the single
+gen.random((size, depth)) call that Generator.choice makes, and X_d is the
+support point whose index is the number of cdf cuts at or below its
+uniform, which is what choice's searchsorted returns; so the streams
+are choice's, bit for bit.  Each row block of about _BLOCK_TERMS terms
+finds that count by a vectorized binary search, one comparison per term
+and bit of the cut count, and sums its series, so the block's index and
+point arrays stay in cache.
+
 Cells are counted from one quantization per signal: floor(2^k2 x) is
 computed once, and the k1 and intermediate cells are arithmetic right
 shifts of it, which is exact because floor(floor(y)/2^s) = floor(y/2^s)
@@ -52,7 +62,8 @@ from .schemes import (
 Q = Fraction
 
 _BATCH = 1 << 16
-_DRAW_LIMIT = 1 << 24  # elements of one self-similar (batch, depth, M) draw
+_DRAW_LIMIT = 1 << 24  # series terms (batch rows x depth x M), a batch's work
+_BLOCK_TERMS = 1 << 15  # series terms summed per row block of a batch
 _CELL_LIMIT = 1 << 62
 
 
@@ -159,7 +170,8 @@ def _user_draws(scheme: Scheme, n: int, M: Optional[int],
             return draw
         return [mixture(float(a)) for a in scheme.alphas]
     if isinstance(scheme, SelfSimilarScheme):
-        width = min(n, _BATCH) * scheme.supports[0].dim  # terms per depth
+        dim = scheme.supports[0].dim
+        width = min(n, _BATCH) * dim  # terms per depth
         if ifs_depth is None:
             if k2 is None:
                 raise InputError("self-similar sampling needs ifs_depth or k2")
@@ -170,14 +182,39 @@ def _user_draws(scheme: Scheme, n: int, M: Optional[int],
                              "the terms at most %d"
                              % (ifs_depth, width * ifs_depth, _DRAW_LIMIT))
         weights = float(scheme.ratio) ** np.arange(ifs_depth)
+        rows = max(1, _BLOCK_TERMS // (ifs_depth * dim))
 
         def selfsimilar(D):
             pts = np.array([[x / D.L for x in pt] for pt in D.lattice])
             probs = np.array([c / D.W for c in D.counts])
-            probs = probs / probs.sum()
-            return lambda gen, size: (
-                pts[gen.choice(len(pts), size=(size, ifs_depth), p=probs)]
-                * weights[None, :, None]).sum(axis=1)
+            # choice's cdf; its index for u is the number of cuts <= u,
+            # which is below 2^b; the inf padding is never <= u
+            cdf = np.cumsum(probs / probs.sum())
+            cdf /= cdf[-1]
+            b = max(1, (len(cdf) - 1).bit_length())
+            cuts = np.concatenate([cdf[:-1], np.full(1 << b, np.inf)])
+
+            def index(u):
+                # binary lifting, one comparison per term and bit: after
+                # the pass of step s, idx is the number of cuts <= u
+                # rounded down to a multiple of s (the cuts never fall)
+                step = 1 << (b - 1)
+                idx = step * (u >= cuts[step - 1])
+                while step > 1:
+                    step >>= 1
+                    idx += step * (u >= cuts[idx + (step - 1)])
+                return idx
+
+            def draw(gen, size):
+                uniforms = gen.random((size, ifs_depth))  # as choice draws
+                out = np.empty((size, dim))
+                for s in range(0, size, rows):
+                    u = uniforms[s:s + rows]
+                    x = pts[index(u)]
+                    x *= weights[None, :, None]
+                    x.sum(axis=1, out=out[s:s + len(u)])
+                return out
+            return draw
         return [selfsimilar(D) for D in scheme.supports]
     raise InputError("unknown scheme type %r" % (type(scheme).__name__,))
 

@@ -65,6 +65,9 @@ class RatMatrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # exact ints skip the call, which the search's loop would pay per matrix
+        if type(self.rows) is not int or type(self.cols) is not int:
+            _check_ints(rows=self.rows, cols=self.cols)
         if self.rows < 0 or self.cols < 0:
             raise InputError("negative matrix dimension")
         if len(self.entries) != self.rows * self.cols:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction as Q
 
@@ -28,9 +29,11 @@ from dofkit import (
     quantized_entropy,
     sample_scheme,
 )
+from dofkit import estimator
 from dofkit.errors import InputError, InvariantViolated
 from dofkit.estimator import (
     _cells,
+    _generator,
     _group,
     _pack,
     ifs_truncation_depth,
@@ -236,6 +239,99 @@ except InputError as e:
                          capture_output=True, text=True, timeout=5)
     assert out.returncode == 0, out.stderr
     assert "depth 1181070 " in out.stdout and "draw limit" in out.stdout
+
+
+def choice_draws(scheme, n, seed, depth):
+    """The self-similar sampler as Generator.choice draws it, batch by
+    batch: the reference the library's blocked draw must match bytewise."""
+    weights = float(scheme.ratio) ** np.arange(depth)
+    out = []
+    for user, D in enumerate(scheme.supports):
+        pts = np.array([[x / D.L for x in pt] for pt in D.lattice])
+        probs = np.array([c / D.W for c in D.counts])
+        probs = probs / probs.sum()
+        chunks = []
+        for start in range(0, n, 1 << 16):
+            gen = _generator(seed, user, start >> 16)
+            size = (min(1 << 16, n - start), depth)
+            idx = gen.choice(len(pts), size=size, p=probs)
+            chunks.append((pts[idx] * weights[None, :, None]).sum(axis=1))
+        out.append(np.concatenate(chunks))
+    return out
+
+
+def random_support(rng, m, M):
+    # m distinct integer points over L = 4, with skewed integer counts
+    flat = rng.choice((2 * m + 3) ** M, size=m, replace=False)
+    pts = [tuple(int(v) - m for v in np.unravel_index(i, (2 * m + 3,) * M))
+           for i in flat]
+    counts = [int(c) for c in rng.integers(1, 1000, m) ** 2]
+    W = sum(counts)
+    return FiniteDist.from_pairs([(tuple(Q(v, 4) for v in pt), Q(c, W))
+                                  for pt, c in zip(pts, counts)])
+
+
+def assert_draws_match_choice(scheme, ns, seed, depth):
+    for n in ns:
+        got = sample_scheme(scheme, n, seed, ifs_depth=depth)
+        want = choice_draws(scheme, n, seed, depth)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], n
+
+
+DEPTH = 9  # past numpy's 8-way unrolled sum when M = 1
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 18, 64, 257])
+def test_selfsimilar_draw_matches_choice(m, M):
+    # m - 1 cuts at and beside powers of two, where the index search adds
+    # a bit; n across the row blocks and the 2^16-sample batches
+    rng = np.random.default_rng(1000 * m + M)
+    scheme = SelfSimilarScheme(Q(2, 7), (random_support(rng, m, M),
+                                         random_support(rng, m, M)))
+    rows = estimator._BLOCK_TERMS // (DEPTH * M)
+    assert_draws_match_choice(scheme, [1, rows - 1, rows + 1, 1 << 16,
+                                       (1 << 16) + 1], seed=m, depth=DEPTH)
+
+
+def test_selfsimilar_draw_matches_choice_on_equal_cuts():
+    # the middle mass is below the cdf's resolution at 1/2, so two adjacent
+    # cuts are equal and that point is never drawn
+    D = FiniteDist.from_pairs([((0,), Q(2 ** 60, 2 ** 61 + 1)),
+                               ((1,), Q(1, 2 ** 61 + 1)),
+                               ((3,), Q(2 ** 60, 2 ** 61 + 1))])
+    probs = np.array([c / D.W for c in D.counts])
+    cdf = np.cumsum(probs / probs.sum())
+    assert cdf[0] == cdf[1] < cdf[2]
+    scheme = SelfSimilarScheme(Q(1, 5), (D,))
+    assert_draws_match_choice(scheme, [5000, (1 << 16) + 1], seed=3,
+                              depth=DEPTH)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_selfsimilar_draw_matches_choice_for_any_block(monkeypatch, rows):
+    # row blocks of 1 and 7, also across a batch edge
+    rng = np.random.default_rng(rows)
+    for m, M in [(1, 2), (2, 1), (18, 3), (64, 1), (257, 2)]:
+        monkeypatch.setattr(estimator, "_BLOCK_TERMS", rows * DEPTH * M)
+        scheme = SelfSimilarScheme(Q(1, 3), (random_support(rng, m, M),))
+        ns = [1, 2, 100] if rows == 1 else [1, 6, 8, (1 << 16) + 1]
+        assert_draws_match_choice(scheme, ns, seed=m, depth=DEPTH)
+
+
+def test_selfsimilar_batch_peak_memory():
+    # one Cantor batch at depth 10: the uniforms (5 MiB) and the output
+    # (0.5 MiB) plus 2 MiB; the (n, depth) index and point arrays of
+    # Generator.choice took it to 10 MiB
+    n, depth = 1 << 16, 10
+    sample_scheme(CANTOR, n, 0, ifs_depth=depth)
+    tracemalloc.start()
+    try:
+        sample_scheme(CANTOR, n, 0, ifs_depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * depth * 8 + n * 8 + (2 << 20), peak
 
 
 # --------------------------------------------------------- plug-in entropy

@@ -57,6 +57,16 @@ def test_matrix_shape_validation():
         RatMatrix.from_rows([[1, 2], [3]])
 
 
+def test_matrix_dimensions_must_be_ints():
+    # a float row count built a 2.0 x 0 matrix that mat_rank then failed on
+    # with TypeError; a bool counted as 1
+    for make in (lambda: RatMatrix.from_columns([], 2.0),
+                 lambda: RatMatrix(True, 1, (Q(1),)),
+                 lambda: RatMatrix(1, 1.0, (Q(1),))):
+        with pytest.raises(InputError, match="must be an integer"):
+            make()
+
+
 def test_matrix_ops_smoke():
     A = RatMatrix.from_rows([[1, 2], [3, 4]])
     B = RatMatrix.from_rows([[0, 1], [1, 0]])

@@ -60,6 +60,19 @@ def test_only_linalg_reads_the_cached_integer_form():
     assert not found, "int_form outside linalg.py: %s" % found
 
 
+def test_library_draws_no_indices_with_choice():
+    # the self-similar draw finds its indices on the cdf cuts itself,
+    # bit-identical to Generator.choice; one index rule, no choice beside it
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choice"
+    ]
+    assert not found, ".choice( calls in src/dofkit: %s" % found
+
+
 def test_only_subspace_scheme_refuses_dependent_directions():
     # one place decides what a valid direction set is: the scheme, which
     # checks its own columns when it is built
