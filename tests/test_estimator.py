@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction as Q
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ from dofkit import (
 from dofkit import estimator
 from dofkit.errors import InputError, InvariantViolated
 from dofkit.estimator import (
-    _cells,
+    _cell_keys,
     _generator,
     _group,
-    _pack,
+    _Received,
     ifs_truncation_depth,
 )
 from dofkit.examples import ex1
@@ -132,6 +133,18 @@ def test_mixture_samples_need_ambient_dim():
     xs = sample_scheme(mix, 100_000, seed=1, M=1)[0]
     atom_freq = np.mean(np.all(xs == 0.0, axis=1))
     assert abs(atom_freq - 0.5) < 0.01  # ~3 sigma for n = 1e5
+
+
+def test_sampling_refuses_an_ambient_dim_the_scheme_does_not_have():
+    # each user's (n, M) output is allocated before any draw, so its
+    # column count is decided once: the scheme's own, or M for a mixture
+    line = SubspaceScheme.from_columns([[(1, 0)]], ambient_dim=2)
+    with pytest.raises(InputError, match="dimension 2"):
+        sample_scheme(line, 4, 0, M=3)
+    with pytest.raises(InputError, match="dimension 1"):
+        sample_scheme(CANTOR, 4, 0, M=5, ifs_depth=3)
+    assert sample_scheme(line, 4, 0, M=2)[0].shape == (4, 2)
+    assert sample_scheme(CANTOR, 4, 0, M=1, ifs_depth=3)[0].shape == (4, 1)
 
 
 @pytest.mark.parametrize("depth", [0, -5])
@@ -361,12 +374,31 @@ def test_integer_entropy_stays_under_power_bound():
     assert quantized_entropy(xs, 0) <= math.log2(26 * math.pi * math.e / 3)
 
 
+def _keys(y, k, rows=7):
+    """_cell_keys over a whole (n,) or (n, M) float array, read in blocks
+    of `rows` rows."""
+    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    with mock.patch.object(estimator, "_BLOCK_TERMS", rows * y.shape[1]):
+        return _cell_keys(y.__getitem__, *y.shape, k)
+
+
 def test_cells_refuse_non_finite_samples():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InputError):
             quantized_entropy(np.array([0.1, bad, 0.7]), 3)
         with pytest.raises(InputError):
             estimate_dim(np.array([[0.1, 0.2], [bad, 0.3]]),
+                         EstimatorConfig(n_samples=2, k1=1, k2=3, seed=0))
+        # in any block, and in a received signal's rows
+        for at in range(20):
+            y = np.full((20, 2), 0.5)
+            y[at, at % 2] = bad
+            with pytest.raises(InputError, match="finite"):
+                _keys(y, 3)
+        with pytest.raises(InputError, match="finite"), \
+                np.errstate(invalid="ignore"):
+            estimate_dim(_Received([(np.array([[0.1, 0.2], [bad, 0.3]]),
+                                     np.eye(2))]),
                          EstimatorConfig(n_samples=2, k1=1, k2=3, seed=0))
 
 
@@ -381,9 +413,12 @@ def test_cells_refuse_arrays_of_more_than_two_dimensions():
 def test_cells_refuse_resolutions_past_the_key_range():
     # |x| 2^k must stay below 2^62 so packed cell keys cannot wrap
     assert quantized_entropy(np.array([0.75, -0.75]), 62) == 1.0
+    assert len(np.unique(_keys(np.array([0.75, -0.75]), 62, rows=2))) == 2
     for x, k in ((1.0, 62), (-1.0, 62), (0.5, 63), (3.0, 61)):
         with pytest.raises(InputError):
             quantized_entropy(np.array([0.0, x]), k)
+        with pytest.raises(InputError, match="beyond 2"):
+            _keys(np.array([0.0] * 9 + [x]), k, rows=2)
     with pytest.raises(InputError):
         estimate_dim(np.array([0.0, 1.0]),
                      EstimatorConfig(n_samples=2, k1=1, k2=62, seed=0))
@@ -417,11 +452,15 @@ def test_packed_key_just_past_int64():
 
 
 def _assert_packed_like_unique(cells, shift=0):
-    key = _pack(cells, shift)
+    # The integers (as floats, which round those past 2^53) times 2^-16,
+    # keyed at k = 16 - shift: their cells are the integers >> shift.
+    exact = cells.astype(float)
+    key = _keys(np.ldexp(exact, -16), 16 - shift)
     _, inverse, counts = np.unique(key, return_inverse=True,
                                    return_counts=True)
     _, want_inverse, want_counts = np.unique(
-        cells >> shift, axis=0, return_inverse=True, return_counts=True)
+        exact.astype(np.int64) >> shift, axis=0, return_inverse=True,
+        return_counts=True)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
     assert np.array_equal(counts, want_counts)
     group_inverse, group_counts = _group(key)
@@ -464,6 +503,12 @@ def test_estimate_dim_mixture():
     assert abs(est.value - 0.5) < 0.05
 
 
+def _cells(samples, k):
+    """floor(2^k x) of a whole (n,) or (n, M) sample array, as int64 rows."""
+    arr = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+    return np.floor(np.ldexp(arr, k)).astype(np.int64)
+
+
 def _estimate_dim_sort_reference(samples, cfg):
     """(value, stderr, h1, h2) of estimate_dim with every resolution's
     cells grouped by np.unique(axis=0) sorts, as the estimator once did."""
@@ -488,7 +533,7 @@ def _estimate_dim_sort_reference(samples, cfg):
         hm = entropy(group(cfg.k2 - mid)[1])
         s_curv = abs((h2 - hm) / (cfg.k2 - mid) - (hm - h1) / (mid - cfg.k1))
     g = (np.log2(p1[inv1]) - np.log2(p2[inv2])) / span
-    s_noise = float(np.std(g, ddof=1) / math.sqrt(n))
+    s_noise = float(np.std(g, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     s_bias = (len(p2) - len(p1)) / (2.0 * n * math.log(2) * span)
     return (h2 - h1) / span, math.hypot(s_noise, s_bias, s_curv), h1, h2
 
@@ -545,27 +590,131 @@ def test_estimate_dim_matches_sort_reference_on_drawn_cells(M, n, k1, span,
 
 
 def test_estimate_dim_packs_the_samples_once(monkeypatch):
-    # Only the k2 grouping packs all n rows; the coarser resolutions pack
-    # one row per distinct k2 cell.
-    import dofkit.estimator as estimator
-    sizes = []
+    # Per signal, only the k2 keys read all n rows, in two passes (range,
+    # then keys); the coarser resolutions key one row per distinct k2 cell.
+    calls = []
+    keys = estimator._cell_keys
 
-    def counting(cells, shift=0):
-        sizes.append(len(cells))
-        return pack(cells, shift)
+    def counting(rows, n, M, k):
+        read = []
 
-    pack = estimator._pack
-    monkeypatch.setattr(estimator, "_pack", counting)
+        def counted(sel):
+            y = rows(sel)
+            read.append(len(y))
+            return y
+        out = keys(counted, n, M, k)
+        calls.append((k, n, sum(read), len(np.unique(out))))
+        return out
+
+    monkeypatch.setattr(estimator, "_cell_keys", counting)
+    H = ChannelMatrix.from_rows(2, 2, MIXTURE_ROWS)
     cfg = EstimatorConfig(n_samples=20_000, k1=3, k2=6, seed=5)
-    xs = sample_scheme(MixtureScheme((Q(1, 2),)), cfg.n_samples, cfg.seed,
-                       M=2)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        estimate_dim(xs, cfg)
-    distinct = len(np.unique(_cells(xs, cfg.k2), axis=0))
-    assert distinct < cfg.n_samples
-    assert sizes.count(cfg.n_samples) == 1
-    assert all(s <= distinct for s in sizes if s != cfg.n_samples)
+        estimate_dof(H, MixtureScheme((Q(1, 2), Q(1, 2))), cfg)
+    assert len(calls) == 4 * 3  # 2K signals; resolutions k2, k1 and mid
+    for t in range(0, len(calls), 3):
+        (k, n, read, distinct), *coarse = calls[t:t + 3]
+        assert (k, n, read) == (cfg.k2, cfg.n_samples, 2 * cfg.n_samples)
+        assert distinct < cfg.n_samples
+        assert sorted(k for k, *_ in coarse) == [cfg.k1, 4]
+        assert all(m == distinct and r == 2 * m for _, m, r, _ in coarse)
+
+
+# Receivers formed in row blocks must give every bit of whole signals: a
+# channel of thirds and fifths on dyadic samples puts many sums on cell
+# boundaries in exact arithmetic, where the rounding of another product
+# (numpy's gemv for a single row, for one) moves samples across them.
+def _blocked_case(K, M):
+    rng = random.Random(K * 10 + M)
+    gains = [Q(-2, 3), Q(-1, 3), Q(1, 3), Q(2, 3), Q(1, 5), Q(3, 5), 1]
+    H = ChannelMatrix.from_rows(K, M, [[rng.choice(gains)
+                                        for _ in range(K * M)]
+                                       for _ in range(K * M)])
+    support = FiniteDist.uniform(sorted({
+        tuple(rng.randrange(3) for _ in range(M)) for _ in range(4)}))
+    return H, SelfSimilarScheme(Q(1, 2), (support,) * K)
+
+
+def _whole_receiver_hex(H, scheme, cfg):
+    xs = sample_scheme(scheme, cfg.n_samples, cfg.seed,
+                       ifs_depth=cfg.ifs_depth)
+    gains = [[np.array(H.block(i, j).to_float_rows()) for j in range(H.K)]
+             for i in range(H.K)]
+    out = []
+    for i in range(H.K):
+        full = sum(xs[j] @ gains[i][j].T for j in range(H.K))
+        intf = sum(xs[j] @ gains[i][j].T for j in range(H.K) if j != i)
+        out.append(tuple(x.hex() for x in (
+            _estimate_dim_sort_reference(full, cfg)[:2]
+            + _estimate_dim_sort_reference(intf, cfg)[:2])))
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("M", [1, 2, 4, 5])
+@pytest.mark.parametrize("rows, n", [(r, n) for r in (2, 7)
+                                     for n in sorted({1, 2, r - 1, r + 1,
+                                                      2 * r + 1})])
+def test_blocked_receivers_match_whole_signals(monkeypatch, K, M, rows, n):
+    monkeypatch.setattr(estimator, "_BLOCK_TERMS", rows * M)
+    H, scheme = _blocked_case(K, M)
+    cfg = EstimatorConfig(n_samples=n, k1=1, k2=4, seed=3, ifs_depth=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = estimate_dof(H, scheme, cfg)
+        assert _receiver_hex(rep) == _whole_receiver_hex(H, scheme, cfg)
+
+
+@pytest.mark.parametrize("K, M", [(2, 1), (2, 2), (2, 4), (2, 5), (3, 4)])
+def test_blocked_receivers_match_whole_signals_past_a_batch(K, M):
+    # 65537 rows: a one-row sampling batch, and at M = 1, 2 and 4 a
+    # one-row tail block of the default size (the reference's sorts make
+    # each case take about a second, so not every K, M pair runs)
+    H, scheme = _blocked_case(K, M)
+    cfg = EstimatorConfig(n_samples=65_537, k1=2, k2=5, seed=4, ifs_depth=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = estimate_dof(H, scheme, cfg)
+        assert _receiver_hex(rep) == _whole_receiver_hex(H, scheme, cfg)
+
+
+def test_blocked_receivers_match_whole_signals_in_one_cell(monkeypatch):
+    # Five equal samples, so every signal has a single k2 cell (and its
+    # representative is a one-row gather).  The gain row (-2/3, 2/3, 3/5,
+    # 1/5) sends the sample (3.5, 3.5, 0, 0) to 0 in exact arithmetic; a
+    # product of one row can round it to the other side of 0 than a
+    # product of many rows, which would put the last sample of a one-row
+    # tail block in another cell.
+    G = [[Q(1, 5), Q(3, 5), Q(-1, 3), Q(1, 5)],
+         [Q(-2, 3), Q(2, 3), Q(3, 5), Q(1, 5)],
+         [Q(2, 3), Q(3, 5), 1, 1],
+         [Q(1, 3), Q(1, 3), Q(2, 3), Q(1, 3)]]
+    H = ChannelMatrix.from_rows(2, 4, [row + row for row in G] * 2)
+    scheme = SelfSimilarScheme(Q(1, 2),
+                               (FiniteDist.uniform([(2, 2, 0, 0)]),) * 2)
+    monkeypatch.setattr(estimator, "_BLOCK_TERMS", 2 * 4)
+    cfg = EstimatorConfig(n_samples=5, k1=1, k2=4, seed=3, ifs_depth=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = estimate_dof(H, scheme, cfg)
+        assert _receiver_hex(rep) == _whole_receiver_hex(H, scheme, cfg)
+    assert all(t.full_dim.estimate == t.interference_dim.estimate == 0.0
+               for t in rep.per_receiver)
+
+
+def test_criterion_8_estimate_peak_memory():
+    # no receiver signal or cell array is built whole: the peak is the
+    # samples, a few n-sized key and group arrays and row blocks
+    H = ChannelMatrix.from_rows(2, 2, MIXTURE_ROWS)
+    cfg = EstimatorConfig(n_samples=100_000, k1=3, k2=6, seed=7)
+    tracemalloc.start()
+    try:
+        estimate_dof(H, MixtureScheme((Q(1, 2), Q(1, 2))), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
 
 
 def test_estimate_dim_warns_when_undersampled():

@@ -73,6 +73,27 @@ def test_library_draws_no_indices_with_choice():
     assert not found, ".choice( calls in src/dofkit: %s" % found
 
 
+def test_estimator_quantizes_in_one_routine():
+    # one quantization rule: np.floor and np.ldexp appear only inside the
+    # key routine _cell_keys; and one output array per sampled user, filled
+    # batch by batch: no np.concatenate
+    path = SRC / "estimator.py"
+    tree = ast.parse(path.read_text(), str(path))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_cell_keys"
+              for node in ast.walk(fn)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "np"
+            and node.attr in ("floor", "ldexp", "concatenate")]
+    found = ["estimator.py:%d np.%s" % (node.lineno, node.attr)
+             for node in uses
+             if node.attr == "concatenate" or id(node) not in inside]
+    assert not found, "quantization or concatenation outside _cell_keys: %s" \
+        % found
+    assert {node.attr for node in uses} == {"floor", "ldexp"}
+
+
 def test_only_subspace_scheme_refuses_dependent_directions():
     # one place decides what a valid direction set is: the scheme, which
     # checks its own columns when it is built
