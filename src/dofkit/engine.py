@@ -52,7 +52,6 @@ from .linalg import (
     ChannelMatrix,
     RatMatrix,
     Subspace,
-    _vec,
     column_space,
     find_derangement,
     mat_det,
@@ -491,20 +490,23 @@ def search_best_subspace(H: ChannelMatrix,
     return the scheme maximizing the dof total (ties: first assignment in
     lexicographic pool-index order).  Pools are read once and at most
     SEARCH_BUDGET assignments are tried, each ranked before a scheme is
-    built from its direction matrices: dependent columns skip it."""
+    built from its direction matrices: dependent columns skip it.  Each
+    pool vector is cleared to integers once, as a column matrix, and a
+    user's direction matrix is stacked from those columns only when that
+    user's combination changes, so it is also ranked once."""
     if len(pools) != H.K or len(dims) != H.K:
         raise UserCountMismatch("need one pool and one dimension per user")
-    vec_pools = []
+    col_pools = []
     for j, pool in enumerate(pools):
         _check_ints(**{"direction count for user %d" % (j + 1): dims[j]})
         if dims[j] < 0:
             raise InputError("negative direction count for user %d" % (j + 1,))
-        vec_pools.append(list(map(_vec, pool)))
-        for v in vec_pools[j]:
-            if len(v) != H.M:
+        col_pools.append([RatMatrix.from_columns([v]) for v in pool])
+        for v in col_pools[j]:
+            if v.rows != H.M:
                 raise DimMismatch("pool vector for user %d has length %d, "
-                                  "channel has M=%d" % (j + 1, len(v), H.M))
-    count = math.prod(map(math.comb, map(len, vec_pools), dims))
+                                  "channel has M=%d" % (j + 1, v.rows, H.M))
+    count = math.prod(map(math.comb, map(len, col_pools), dims))
     if count > SEARCH_BUDGET:
         raise BudgetExceeded("%d assignments exceed the budget of %d"
                              % (count, SEARCH_BUDGET))
@@ -512,9 +514,15 @@ def search_best_subspace(H: ChannelMatrix,
         raise InputError("some pool is smaller than the requested dimension")
 
     best: tuple[SubspaceScheme, DofReport] | None = None
+    last: list[tuple | None] = [None] * H.K
+    directions: list[RatMatrix | None] = [None] * H.K
     for assignment in itertools.product(*map(itertools.combinations,
-                                             vec_pools, dims)):
-        directions = [RatMatrix.from_columns(cols, H.M) for cols in assignment]
+                                             col_pools, dims)):
+        for j, cols in enumerate(assignment):
+            if cols is not last[j]:  # product reuses each combination tuple
+                last[j] = cols
+                directions[j] = (RatMatrix.hstack(cols) if cols
+                                 else RatMatrix.zeros(H.M, 0))
         if any(mat_rank(V) != V.cols for V in directions):
             continue
         scheme = SubspaceScheme(tuple(directions))

@@ -1,14 +1,18 @@
 """Exact rational linear algebra: matrices over Fraction, subspaces,
 block channel matrices, and the fixed-point-free cross-link search.
 
-The exact kernels compute on each matrix's cached integer form,
-RatMatrix.int_form: its entries over their least common denominator,
-cleared once per matrix.  __mul__ takes integer dot products, and rank,
-determinant, inverse, null space and column space all read their answers
-off one routine, _eliminate: fraction-free Gauss-Jordan elimination on
-Python ints.  Intermediate entries stay minors of the input, which keeps
-bit growth polynomial instead of the exponential blowup of naive Fraction
+A RatMatrix is, for the exact kernels, its integer form
+RatMatrix.int_form: its entries over their least common denominator, in
+lowest terms.  A matrix built from entries clears them once, on first
+use; products and block stacks are born in that form (RatMatrix._from_ints)
+and build their Fraction entries only when something reads them.
+__mul__ takes integer dot products, and rank, determinant, inverse, null
+space and column space all read their answers off one routine,
+_eliminate: fraction-free Gauss-Jordan elimination on Python ints.
+Intermediate entries stay minors of the input, which keeps bit growth
+polynomial instead of the exponential blowup of naive Fraction
 elimination, and the exact RREF is the result divided by one integer.
+A matrix caches its rank, so each matrix is eliminated once for rank.
 
 This module alone reads numerators and denominators: every exact path
 that computes on integers takes them from _over_lcm (rationals over their
@@ -18,9 +22,9 @@ so the KM/2 bound is decided once per channel.
 
 Matrices are assembled from pieces by two builders only:
 RatMatrix.from_columns (column j is columns[j]; a scalar is a 1-vector)
-and RatMatrix.from_blocks (a grid of blocks).  Every caller that has
-columns or blocks goes through them, so the row-major entry layout is
-decided in this module alone.
+and RatMatrix.from_blocks (a grid of blocks, stacked on their integer
+forms).  Every caller that has columns or blocks goes through them, so
+the row-major entry layout is decided in this module alone.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -55,23 +59,63 @@ def _vec(point) -> tuple[Fraction, ...]:
     return (_q(point),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatMatrix:
     """Immutable rows x cols matrix with Fraction entries (row-major).
-    Equality and hashing read only the fields, not the cached int_form."""
+    Entries are read as from_rows reads them (a float keeps its exact
+    binary value); a non-rational raises InputError.  A matrix born from
+    integers (_from_ints) builds its entries on first read.  Equality and
+    hashing read (rows, cols, int_form): in lowest terms that is the same
+    test as comparing the entries."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # exact ints skip the call, which the search's loop would pay per matrix
+        # exact ints skip the call, which every positional build would pay
         if type(self.rows) is not int or type(self.cols) is not int:
             _check_ints(rows=self.rows, cols=self.cols)
         if self.rows < 0 or self.cols < 0:
             raise InputError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
+        try:
+            entries = tuple(map(_q, self.entries))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("matrix entries must be rational numbers") from None
+        if len(entries) != self.rows * self.cols:
             raise InputError("entry count does not match shape")
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, ints: Iterable[int], L: int
+                   ) -> "RatMatrix":
+        """The matrix ints / L (row-major, L != 0), stored as its int_form
+        in lowest terms; its Fraction entries are built on first read."""
+        ints = tuple(ints)
+        if L != 1:
+            g = gcd(L, *ints) if L > 0 else -gcd(L, *ints)
+            if g != 1:
+                ints, L = tuple(x // g for x in ints), L // g
+        A = object.__new__(cls)
+        A.__dict__.update(rows=rows, cols=cols, int_form=(ints, L))
+        return A
+
+    def __getattr__(self, name):
+        # only an integer-born matrix lacks entries: build them once
+        if name != "entries":
+            raise AttributeError(name)
+        ints, L = self.int_form
+        entries = self.__dict__["entries"] = tuple(Q(x, L) for x in ints)
+        return entries
+
+    def __eq__(self, other):
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.int_form == other.int_form)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.int_form))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -79,7 +123,7 @@ class RatMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise InputError("ragged rows")
-        return cls(r, c, tuple(_q(x) for row in rows for x in row))
+        return cls(r, c, tuple(x for row in rows for x in row))
 
     @classmethod
     def from_columns(cls, columns: Iterable, rows: int | None = None
@@ -100,19 +144,27 @@ class RatMatrix:
     def from_blocks(cls, grid: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
         """Block matrix with block (a, b) = grid[a][b].  The blocks of one
         grid row share a row count, those of one grid column a column
-        count."""
+        count.  Stacked on the blocks' integer forms over the lcm L of
+        their denominators, which keeps lowest terms."""
         if not grid or not grid[0]:
             raise InputError("block matrix of no blocks")
         widths = [b.cols for b in grid[0]]
-        ent = []
-        for brow in grid:
+        forms = [[b.int_form for b in brow] for brow in grid]
+        L = lcm(*[Lb for frow in forms for _, Lb in frow])
+        ints = []
+        for brow, frow in zip(grid, forms):
+            h = brow[0].rows
             if ([b.cols for b in brow] != widths
-                    or any(b.rows != brow[0].rows for b in brow)):
+                    or [b.rows for b in brow].count(h) != len(brow)):
                 raise DimMismatch("blocks of one grid row must share a height "
                                   "and those of one grid column a width")
-            ent.extend(x for i in range(brow[0].rows) for b in brow
-                       for x in b.row(i))
-        return cls(sum(brow[0].rows for brow in grid), sum(widths), tuple(ent))
+            blocks = [a if Lb == L else [x * (L // Lb) for x in a]
+                      for a, Lb in frow]
+            for i in range(h):
+                for a, w in zip(blocks, widths):
+                    ints += a[i * w:(i + 1) * w]
+        return cls._from_ints(sum(brow[0].rows for brow in grid), sum(widths),
+                              ints, L)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -126,9 +178,13 @@ class RatMatrix:
     @cached_property
     def int_form(self) -> tuple[tuple[int, ...], int]:
         """(ints, L) with entries[i] == ints[i] / L, L the least common
-        denominator of the entries."""
+        denominator of the entries (so gcd(L, *ints) == 1)."""
         ints, L = _over_lcm(self.entries)
         return tuple(ints), L
+
+    @cached_property
+    def _rank(self) -> int:
+        return len(_eliminate(self)[1])
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -150,11 +206,11 @@ class RatMatrix:
             raise DimMismatch("inner dimensions differ: %d vs %d"
                               % (self.cols, other.rows))
         (a, La), (b, Lb) = self.int_form, other.int_form
-        n, c, den = self.cols, other.cols, La * Lb
+        n, c = self.cols, other.cols
         cols = [b[j::c] for j in range(c)]
-        return RatMatrix(self.rows, c, tuple(  # integer dot products over den
-            Q(sum(map(mul, a[i * n:(i + 1) * n], col)), den)
-            for i in range(self.rows) for col in cols))
+        return RatMatrix._from_ints(self.rows, c, [  # integer dot products
+            sum(map(mul, a[i * n:(i + 1) * n], col))
+            for i in range(self.rows) for col in cols], La * Lb)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -216,31 +272,38 @@ def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]
     by Sylvester's identity every entry after a step is a minor of the
     cleared input (for a pivot row, the pivot block's minor with its own
     column swapped for column j); a remainder would mean a broken
-    invariant and raises InvariantViolated.  Every pivot ends equal to the
-    last one: a new pivot row is zero in every earlier pivot column, so
-    each step multiplies an earlier pivot, which equals prev, by p / prev.
+    invariant and raises InvariantViolated.  A step with prev == 1, the
+    first one among them, divides by 1, which leaves nothing to check, so
+    it skips the division.  Every pivot ends equal to the last one: a new
+    pivot row is zero in every earlier pivot column, so each step
+    multiplies an earlier pivot, which equals prev, by p / prev.
     The RREF is therefore the returned rows divided by the last pivot.
 
     Returns (rows, pivot columns, last pivot, sign of the row swaps,
     L**A.rows).
     """
     ints, L = A.int_form
-    m = [list(ints[i * A.cols:(i + 1) * A.cols]) for i in range(A.rows)]
+    rows, cols = A.rows, A.cols
+    m = [list(ints[i * cols:(i + 1) * cols]) for i in range(rows)]
     pivots: list[int] = []
     prev = sign = 1
-    for c in range(A.cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, A.rows) if m[i][c] != 0), None)
-        if piv is None:
+    for c in range(cols):
+        r = piv = len(pivots)
+        while piv < rows and m[piv][c] == 0:
+            piv += 1
+        if piv == rows:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
         pivot_row, p = m[r], m[r][c]
-        for i in range(A.rows):
+        for i in range(rows):
             if i == r:
                 continue
             f = m[i][c]
+            if prev == 1:
+                m[i] = [a * p - f * b for a, b in zip(m[i], pivot_row)]
+                continue
             out = []
             for a, b in zip(m[i], pivot_row):
                 q, rem = divmod(a * p - f * b, prev)
@@ -250,11 +313,13 @@ def _eliminate(A: RatMatrix) -> tuple[list[list[int]], list[int], int, int, int]
             m[i] = out
         prev = p
         pivots.append(c)
-    return m, pivots, prev, sign, L ** A.rows
+    return m, pivots, prev, sign, L ** rows
 
 
 def mat_rank(A: RatMatrix) -> int:
-    return len(_eliminate(A)[1])
+    """Rank of A, eliminated on the first call and cached on the matrix
+    (RatMatrix._rank), so a matrix ranked twice is eliminated once."""
+    return A._rank
 
 
 def mat_det(A: RatMatrix) -> Fraction:
@@ -274,7 +339,7 @@ def mat_inverse(A: RatMatrix) -> RatMatrix:
     m, pivots, last, _, _ = _eliminate(RatMatrix.hstack([A, RatMatrix.identity(n)]))
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
-    return RatMatrix(n, n, tuple(Q(x, last) for row in m for x in row[n:]))
+    return RatMatrix._from_ints(n, n, (x for row in m for x in row[n:]), last)
 
 
 def null_space(A: RatMatrix) -> RatMatrix:
@@ -284,9 +349,9 @@ def null_space(A: RatMatrix) -> RatMatrix:
     m, pivots, last, _, _ = _eliminate(A)
     free = [c for c in range(n) if c not in pivots]
     row_of = {pc: rr for rr, pc in enumerate(pivots)}
-    return RatMatrix(n, len(free), tuple(
-        Q(-m[row_of[i]][f], last) if i in row_of else Q(int(i == f))
-        for i in range(n) for f in free))
+    return RatMatrix._from_ints(n, len(free), (
+        -m[row_of[i]][f] if i in row_of else last * (i == f)
+        for i in range(n) for f in free), last)
 
 
 def column_space(A: RatMatrix) -> "Subspace":

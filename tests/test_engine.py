@@ -33,7 +33,7 @@ from dofkit import (
     standardize_3user,
     upper_bound,
 )
-from dofkit import linalg
+from dofkit import engine, linalg
 from dofkit.engine import assemble_report
 from dofkit.dimension import DimValue
 from dofkit.errors import (
@@ -52,7 +52,7 @@ from dofkit.errors import (
     UserCountMismatch,
 )
 from dofkit.examples import ex1, k3m3, parallel_channel, propgain, stacked
-from dofkit.linalg import mat_det, mat_inverse
+from dofkit.linalg import find_derangement, mat_det, mat_inverse
 from dofkit.serialize import channel_json
 
 from conftest import (rand_channel, rand_nonsingular, rand_scheme_dirs,
@@ -418,6 +418,36 @@ def test_search_best_subspace():
     assert once == (scheme, report)
     with pytest.raises(DimMismatch, match="user 2 has length 3"):
         search_best_subspace(H, [POOL, POOL + [(1, 1, 1)], POOL], (1, 1, 1))
+
+
+def test_search_eliminates_each_direction_matrix_once(monkeypatch):
+    # a user's direction matrix is stacked only when its combination
+    # changes and eliminated once: the search's pre-check and
+    # SubspaceScheme share that rank, so beyond it each full-rank
+    # assignment eliminates only dof_eval's 2K sums
+    H, _ = ex1()
+    find_derangement(H)  # the bound's K(K-1) determinants, decided first
+    eliminations, evaluated = [], []
+    eliminate, evaluate = linalg._eliminate, engine.dof_eval
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda A: eliminations.append(A) or eliminate(A))
+    monkeypatch.setattr(engine, "dof_eval",
+                        lambda *a: evaluated.append(a) or evaluate(*a))
+    dims = (1, 1, 1)
+    scheme, report = search_best_subspace(H, [POOL] * 3, dims)
+    assert report.total.rational == 3
+    # product() changes user j's combination prod_{i <= j} C(5, d_i) times
+    built = sum(math.prod(math.comb(len(POOL), d) for d in dims[:j + 1])
+                for j in range(H.K))
+    assert len(evaluated) == 125 and built == 155
+    assert len(eliminations) <= built + 2 * H.K * len(evaluated)
+    # a scheme over matrices the search has ranked eliminates nothing more
+    before = len(eliminations)
+    assert SubspaceScheme(scheme.directions) == scheme
+    V = RatMatrix.from_columns([(1, 1), (1, 2)])
+    assert linalg.mat_rank(V) == 2 and len(eliminations) == before + 1
+    SubspaceScheme((V, V, V))
+    assert len(eliminations) == before + 1
 
 
 def test_search_budget():

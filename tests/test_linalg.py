@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -319,6 +320,80 @@ def test_integer_matmul_matches_fraction_sums(pair):
     got = A * B
     assert got == RatMatrix(A.rows, B.cols, want)
     assert all(type(x) is Q for x in got.entries)
+
+
+def _assert_integer_born_like(M, ref):
+    # M holds only its integer form until its entries are read: ranking,
+    # comparing and hashing it build no Fraction; then its entries are
+    # the reference's, as Fractions in lowest terms
+    assert "entries" not in vars(M)
+    assert mat_rank(M) == mat_rank(ref)
+    assert M == ref and ref == M and hash(M) == hash(ref)
+    assert "entries" not in vars(M)
+    assert M.entries == ref.entries and "entries" in vars(M)
+    assert all(type(x) is Q and x.denominator > 0
+               and math.gcd(x.numerator, x.denominator) == 1
+               for x in M.entries)
+
+
+@st.composite
+def block_grids(draw):
+    """A grid of 1-3 x 1-3 blocks, each 0-4 rows by 0-4 columns (one
+    height per grid row, one width per grid column), with zero entries,
+    small fractions and fractions of denominators up to 2^70."""
+    heights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    entry = st.one_of(st.just(Q(0)), fractions_st,
+                      st.fractions(max_denominator=2 ** 70))
+    return [[RatMatrix(h, w, tuple(draw(st.lists(entry, min_size=h * w,
+                                                 max_size=h * w))))
+             for w in widths] for h in heights]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_products(), block_grids())
+@example((RatMatrix(0, 3, ()), RatMatrix(3, 0, ())), [[RatMatrix(0, 0, ())]])
+@example((RatMatrix.from_rows([[Q(1, 2 ** 70 - 1), Q(3, 2 ** 69)]]),
+          RatMatrix.from_rows([[Q(2 ** 70 - 1, 7)], [Q(-5, 3 ** 40)]])),
+         [[RatMatrix.from_rows([[Q(1, 2 ** 70)]]),
+           RatMatrix.from_rows([[Q(3, 2)]])]])
+def test_integer_born_matrices_match_fraction_built_ones(pair, grid):
+    # products, stacks and stacks of products are built on integers; each
+    # equals, and hashes like, the matrix built from the Fraction entries
+    A, B = pair
+    product_ref = RatMatrix(A.rows, B.cols, tuple(
+        sum((A.at(i, t) * B.at(t, j) for t in range(A.cols)), Q(0))
+        for i in range(A.rows) for j in range(B.cols)))
+    _assert_integer_born_like(A * B, product_ref)
+
+    def stacked(grid):
+        rows = [[x for b in brow for x in b.row(a)]
+                for brow in grid for a in range(brow[0].rows)]
+        return RatMatrix(sum(brow[0].rows for brow in grid),
+                         sum(b.cols for b in grid[0]),
+                         tuple(x for row in rows for x in row))
+
+    _assert_integer_born_like(RatMatrix.from_blocks(grid), stacked(grid))
+    _assert_integer_born_like(RatMatrix.hstack(grid[0]), stacked(grid[:1]))
+    twice = [[A * B, product_ref]]
+    _assert_integer_born_like(RatMatrix.from_blocks(twice),
+                              stacked([[product_ref, product_ref]]))
+
+
+def test_matrix_entries_are_read_as_rationals():
+    # RatMatrix(rows, cols, entries) kept a float, a string or None as
+    # given: the float matrix compared equal to the Fraction one, but
+    # mat_rank on any of them raised a raw AttributeError (and from_rows
+    # a raw ValueError or TypeError)
+    A = RatMatrix(1, 2, [0.5, 0.1])
+    assert A.entries == (Q(1, 2), Q(0.1)) and type(A.entries) is tuple
+    assert all(type(x) is Q for x in A.entries)  # 0.1's exact binary value
+    assert A == RatMatrix.from_rows([[0.5, 0.1]]) and mat_rank(A) == 1
+    for bad in ("x", None, float("nan"), float("inf"), 1j):
+        with pytest.raises(InputError, match="must be rational numbers"):
+            RatMatrix(1, 1, (bad,))
+        with pytest.raises(InputError, match="must be rational numbers"):
+            RatMatrix.from_rows([[1, bad]])
 
 
 def test_elimination_edge_shapes():

@@ -60,6 +60,21 @@ def test_only_linalg_reads_the_cached_integer_form():
     assert not found, "int_form outside linalg.py: %s" % found
 
 
+def test_only_linalg_builds_matrices_positionally():
+    # RatMatrix(rows, cols, entries) and RatMatrix._from_ints take entries
+    # in row-major order; other modules build through from_rows,
+    # from_columns and from_blocks, so that layout is decided in linalg.py
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "RatMatrix")
+        or (isinstance(node, ast.Attribute) and node.attr == "_from_ints")
+    ]
+    assert not found, "positional RatMatrix built outside linalg.py: %s" % found
+
+
 def test_library_draws_no_indices_with_choice():
     # the self-similar draw finds its indices on the cdf cuts itself,
     # bit-identical to Generator.choice; one index rule, no choice beside it
